@@ -1,8 +1,8 @@
 package dynstream
 
-// Benchmark harness: one testing.B benchmark per experiment in
-// DESIGN.md §4 / EXPERIMENTS.md. Each benchmark runs the same pipeline
-// as the corresponding `cmd/spannerbench` table at a fixed workload and
+// Benchmark harness: one testing.B benchmark per paper experiment of
+// `cmd/spannerbench` (E1–E9, A1–A3). Each benchmark runs the same
+// pipeline as the corresponding spannerbench table at a fixed workload and
 // reports the paper-relevant quantities as custom metrics
 // (stretch/size/space/ε) next to ns/op and allocations.
 //
@@ -211,7 +211,7 @@ func BenchmarkE8AGMForest(b *testing.B) {
 		if err := st.Replay(func(u stream.Update) error { sk.AddUpdate(u); return nil }); err != nil {
 			b.Fatal(err)
 		}
-		forest, err := sk.SpanningForest(nil)
+		forest, err := sk.SpanningForestOpts(nil, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -257,7 +257,7 @@ func BenchmarkParallelIngest(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	wantForest, err := serial.SpanningForest(nil)
+	wantForest, err := serial.SpanningForestOpts(nil, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -271,7 +271,7 @@ func BenchmarkParallelIngest(b *testing.B) {
 				}
 			}
 			b.StopTimer()
-			forest, err := sk.SpanningForest(nil)
+			forest, err := sk.SpanningForestOpts(nil, nil)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -337,7 +337,7 @@ func BenchmarkDecodeThroughput(b *testing.B) {
 		for _, w := range workerCounts {
 			b.Run(fmt.Sprintf("forest/n%d/decode%d", n, w), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					if _, err := sk.SpanningForestParallel(nil, w); err != nil {
+					if _, err := sk.SpanningForestOpts(nil, parallel.Default().WithWorkers(w)); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -362,7 +362,7 @@ func BenchmarkDecodeThroughput(b *testing.B) {
 						b.Fatal(err)
 					}
 					b.StartTimer()
-					if _, err := fresh.CertificateParallel(w); err != nil {
+					if _, err := fresh.CertificateOpts(parallel.Default().WithWorkers(w)); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -527,8 +527,8 @@ func BenchmarkParallelSpanner(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := spanner.BuildTwoPassParallel(st,
-					spanner.Config{K: 2, Seed: benchSeed + 35}, workers); err != nil {
+				if _, err := spanner.BuildTwoPassOpts(st,
+					spanner.Config{K: 2, Seed: benchSeed + 35}, parallel.Default().WithWorkers(workers)); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -661,7 +661,7 @@ func BenchmarkIncrementalQuery(b *testing.B) {
 		}
 		b.Run(fmt.Sprintf("forest/n%d/cold", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := cold.SpanningForest(nil); err != nil {
+				if _, err := cold.SpanningForestOpts(nil, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -681,7 +681,7 @@ func BenchmarkIncrementalQuery(b *testing.B) {
 			if err := st.Replay(func(u stream.Update) error { live.AddUpdate(u); return nil }); err != nil {
 				b.Fatal(err)
 			}
-			if _, err := live.SpanningForest(nil); err != nil { // warm
+			if _, err := live.SpanningForestOpts(nil, nil); err != nil { // warm
 				b.Fatal(err)
 			}
 			rng := rand.New(rand.NewSource(int64(benchSeed + 83)))
@@ -695,7 +695,7 @@ func BenchmarkIncrementalQuery(b *testing.B) {
 					b.StopTimer()
 					churn(rng, n, k, &extra, func(u, v, delta int) { live.AddEdge(u, v, int64(delta)) })
 					b.StartTimer()
-					if _, err := live.SpanningForest(nil); err != nil {
+					if _, err := live.SpanningForestOpts(nil, nil); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -41,13 +41,8 @@ func Build[R any](ctx context.Context, src Source, target Target[R], opts ...Opt
 	if target == nil {
 		return zero, fmt.Errorf("%w: nil target", ErrBadConfig)
 	}
-	o := &buildOptions{}
-	for _, opt := range opts {
-		if opt != nil {
-			opt(o)
-		}
-	}
-	if err := o.validate(); err != nil {
+	o, err := resolveOptions(opts)
+	if err != nil {
 		return zero, err
 	}
 	if target.Passes() > 1 && !CanReplay(src) {
@@ -129,11 +124,15 @@ type Target[R any] interface {
 	// result bit for bit.
 	buildRemote(ctx context.Context, src Source, o *buildOptions, r *remoteRun) (R, error)
 	// openLive ingests src and returns the mutable state behind a live
-	// Handle (see Open).
-	openLive(src Source, o *buildOptions, p *parallel.Policy) (liveState[R], error)
+	// Handle (see Open); its query yields an R.
+	openLive(src Source, o *buildOptions, p *parallel.Policy) (liveState, error)
 	// restoreLive rebuilds the live state behind a Handle from a
 	// checkpoint's state section (see Restore in checkpoint.go).
-	restoreLive(src Source, o *buildOptions, kind dynnet.StateKind, state []byte) (liveState[R], error)
+	restoreLive(src Source, o *buildOptions, kind dynnet.StateKind, state []byte) (liveState, error)
+	// answer decodes a result (or sketch) under the decode policy p
+	// into the Answer every frontend renders (see Decode and
+	// Handle.Query; answer.go).
+	answer(res R, p *parallel.Policy) (*Answer, error)
 }
 
 // noWeightClasses rejects WithWeightClasses for targets without a
@@ -206,7 +205,7 @@ func (t SparsifierTarget) build(src Source, o *buildOptions, p *parallel.Policy)
 }
 
 // ForestTarget ingests the stream into an AGM connectivity sketch
-// (Theorem 10); decode with ForestSketch.SpanningForest. Single-pass.
+// (Theorem 10); Decode extracts its spanning forest. Single-pass.
 type ForestTarget struct {
 	Seed   uint64
 	Config ForestConfig
@@ -228,8 +227,7 @@ func (t ForestTarget) build(src Source, o *buildOptions, p *parallel.Policy) (*F
 }
 
 // KConnectivityTarget ingests the stream into a k-edge-connectivity
-// certificate sketch; decode with KConnectivity.Certificate[Graph].
-// Single-pass.
+// certificate sketch; Decode extracts the certificate. Single-pass.
 type KConnectivityTarget struct {
 	Seed uint64
 	K    int
@@ -251,8 +249,7 @@ func (t KConnectivityTarget) build(src Source, o *buildOptions, p *parallel.Poli
 }
 
 // BipartitenessTarget ingests the stream into the double-cover
-// bipartiteness tester; decode with Bipartiteness.IsBipartite.
-// Single-pass.
+// bipartiteness tester; Decode gives its verdict. Single-pass.
 type BipartitenessTarget struct {
 	Seed uint64
 }
@@ -273,7 +270,7 @@ func (t BipartitenessTarget) build(src Source, o *buildOptions, p *parallel.Poli
 }
 
 // MSFTarget ingests the stream into the (1+Gamma)-approximate
-// minimum-spanning-forest sketch; decode with MSF.Forest. With an
+// minimum-spanning-forest sketch; Decode extracts the forest. With an
 // explicit WMax (upper bound on edge weights) it is single-pass and
 // works on pipes; with WMax == 0 it first scans the stream for the
 // maximum weight, which needs a replayable source.

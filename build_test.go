@@ -171,11 +171,11 @@ func TestBuildMSFAndBipartiteness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fa, err := scan.Forest()
+	fa, err := scan.ForestOpts(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fb, err := expl.Forest()
+	fb, err := expl.ForestOpts(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func TestBuildMSFAndBipartiteness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bip, err := b.IsBipartite()
+	bip, err := b.IsBipartiteOpts(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

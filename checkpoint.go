@@ -142,7 +142,7 @@ func readSection(br *bufio.Reader) (kind byte, payload []byte, err error) {
 // exactly the batches whose Apply returned before the snapshot, never
 // a torn batch. The snapshot does not include the base stream; see
 // Restore for how it is re-attached.
-func (h *Handle[R]) Checkpoint(w io.Writer) error {
+func (h *Handle) Checkpoint(w io.Writer) error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	sp := h.o.tracer.Span("checkpoint/write")
@@ -178,7 +178,7 @@ func (h *Handle[R]) Checkpoint(w io.Writer) error {
 // and renamed into place, so a crash mid-write leaves either the previous
 // snapshot or none — never a torn file. ErrBadCheckpoint on open is then
 // always a damaged disk, not an interrupted writer.
-func CheckpointFile[R any](h *Handle[R], path string) error {
+func CheckpointFile(h *Handle, path string) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
 	if err != nil {
@@ -259,29 +259,11 @@ func readCheckpoint(r io.Reader) (checkpointMeta, []byte, error) {
 // Restore accepts the same options as Open (worker counts, batch size,
 // decode cache); remote and weight-class options are rejected exactly
 // as Open rejects them.
-func Restore[R any](ctx context.Context, r io.Reader, src Source, target Target[R], opts ...Option) (*Handle[R], error) {
+func Restore[R any](ctx context.Context, r io.Reader, src Source, target Target[R], opts ...Option) (*Handle, error) {
 	_ = ctx // restores are offline: no stream pass runs until the first Query
-	if src == nil {
-		return nil, fmt.Errorf("%w: nil source", ErrBadConfig)
-	}
-	if target == nil {
-		return nil, fmt.Errorf("%w: nil target", ErrBadConfig)
-	}
-	o := &buildOptions{}
-	for _, opt := range opts {
-		if opt != nil {
-			opt(o)
-		}
-	}
-	if err := o.validate(); err != nil {
+	o, err := liveOptions(src, target, opts)
+	if err != nil {
 		return nil, err
-	}
-	if err := o.validateLive(); err != nil {
-		return nil, err
-	}
-	if target.Passes() > 1 && !CanReplay(src) {
-		return nil, fmt.Errorf("dynstream: %T needs %d passes over the stream: %w",
-			target, target.Passes(), ErrNotReplayable)
 	}
 	// As in Open, the tracer (with any WithProgress observer) persists
 	// for the restored handle's lifetime.
@@ -299,9 +281,8 @@ func Restore[R any](ctx context.Context, r io.Reader, src Source, target Target[
 	if err != nil {
 		return nil, err
 	}
-	live.enableCache(o.cacheOn())
 	sp.End(obs.A("bytes", int64(len(state))), obs.A("applied", meta.applied))
-	return &Handle[R]{n: src.N(), src: src, o: o, live: live, applied: meta.applied}, nil
+	return newHandle(src, o, target, live, meta.applied), nil
 }
 
 // wrongKind is the shared kind-mismatch error of the restoreLive
@@ -338,7 +319,7 @@ func (l forestLive) snapshot() (dynnet.StateKind, []byte, error) {
 	return dynnet.KindForest, b, err
 }
 
-func (t ForestTarget) restoreLive(src Source, o *buildOptions, kind dynnet.StateKind, state []byte) (liveState[*ForestSketch], error) {
+func (t ForestTarget) restoreLive(src Source, o *buildOptions, kind dynnet.StateKind, state []byte) (liveState, error) {
 	if kind != dynnet.KindForest {
 		return nil, wrongKind(kind, "a forest sketch")
 	}
@@ -357,7 +338,7 @@ func (l kconnLive) snapshot() (dynnet.StateKind, []byte, error) {
 	return dynnet.KindKConn, b, err
 }
 
-func (t KConnectivityTarget) restoreLive(src Source, o *buildOptions, kind dynnet.StateKind, state []byte) (liveState[*KConnectivity], error) {
+func (t KConnectivityTarget) restoreLive(src Source, o *buildOptions, kind dynnet.StateKind, state []byte) (liveState, error) {
 	if kind != dynnet.KindKConn {
 		return nil, wrongKind(kind, "a k-connectivity certificate")
 	}
@@ -376,7 +357,7 @@ func (l bipLive) snapshot() (dynnet.StateKind, []byte, error) {
 	return dynnet.KindBip, b, err
 }
 
-func (t BipartitenessTarget) restoreLive(src Source, o *buildOptions, kind dynnet.StateKind, state []byte) (liveState[*Bipartiteness], error) {
+func (t BipartitenessTarget) restoreLive(src Source, o *buildOptions, kind dynnet.StateKind, state []byte) (liveState, error) {
 	if kind != dynnet.KindBip {
 		return nil, wrongKind(kind, "a bipartiteness tester")
 	}
@@ -395,7 +376,7 @@ func (l msfLive) snapshot() (dynnet.StateKind, []byte, error) {
 	return dynnet.KindMSF, b, err
 }
 
-func (t MSFTarget) restoreLive(src Source, o *buildOptions, kind dynnet.StateKind, state []byte) (liveState[*MSF], error) {
+func (t MSFTarget) restoreLive(src Source, o *buildOptions, kind dynnet.StateKind, state []byte) (liveState, error) {
 	if kind != dynnet.KindMSF {
 		return nil, wrongKind(kind, "an MSF sketch")
 	}
@@ -416,7 +397,7 @@ func (l additiveLive) snapshot() (dynnet.StateKind, []byte, error) {
 	return dynnet.KindAdditive, b, err
 }
 
-func (t AdditiveTarget) restoreLive(src Source, o *buildOptions, kind dynnet.StateKind, state []byte) (liveState[*AdditiveResult], error) {
+func (t AdditiveTarget) restoreLive(src Source, o *buildOptions, kind dynnet.StateKind, state []byte) (liveState, error) {
 	if kind != dynnet.KindAdditive {
 		return nil, wrongKind(kind, "an additive spanner")
 	}
@@ -435,7 +416,7 @@ func (l twoPassLive) snapshot() (dynnet.StateKind, []byte, error) {
 	return dynnet.KindTwoPass, b, err
 }
 
-func (t SpannerTarget) restoreLive(src Source, o *buildOptions, kind dynnet.StateKind, state []byte) (liveState[*SpannerResult], error) {
+func (t SpannerTarget) restoreLive(src Source, o *buildOptions, kind dynnet.StateKind, state []byte) (liveState, error) {
 	if kind != dynnet.KindTwoPass {
 		return nil, wrongKind(kind, "a two-pass spanner")
 	}
@@ -455,7 +436,7 @@ func (l sparsifyLive) snapshot() (dynnet.StateKind, []byte, error) {
 	return dynnet.KindGrid, b, err
 }
 
-func (t SparsifierTarget) restoreLive(src Source, o *buildOptions, kind dynnet.StateKind, state []byte) (liveState[*SparsifierResult], error) {
+func (t SparsifierTarget) restoreLive(src Source, o *buildOptions, kind dynnet.StateKind, state []byte) (liveState, error) {
 	if kind != dynnet.KindGrid {
 		return nil, wrongKind(kind, "a sparsifier")
 	}

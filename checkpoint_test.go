@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -21,12 +20,13 @@ import (
 // next checkpoint byte-identical.
 
 // runCheckpointMatrix drives one target through checkpoint → crash →
-// restore → replay-suffix and diffs the restored handle against the
-// uninterrupted one and a cold build.
+// restore → replay-suffix and diffs the restored handle's Answer
+// against the uninterrupted one's and a cold build's. detail, when
+// non-nil, keys result fields an Answer does not carry (read through
+// the QueryResult test hook on the handles).
 func runCheckpointMatrix[R any](
 	t *testing.T, base *dynstream.MemoryStream, batches [][]dynstream.Update,
-	target dynstream.Target[R],
-	equal func(t *testing.T, got, want R),
+	target dynstream.Target[R], detail func(R) string,
 ) {
 	t.Helper()
 	ctx := context.Background()
@@ -73,6 +73,19 @@ func runCheckpointMatrix[R any](
 	if got, want := h2.AppliedUpdates(), int64(len(log)); got != want {
 		t.Fatalf("after replay AppliedUpdates() = %d, want %d", got, want)
 	}
+	// key renders an answer plus the detail of its result.
+	key := func(a *dynstream.Answer, res func() (any, error)) string {
+		t.Helper()
+		k := dynstream.AnswerKey(a)
+		if detail != nil {
+			r, err := res()
+			if err != nil {
+				t.Fatal(err)
+			}
+			k += "\n" + detail(r.(R))
+		}
+		return k
+	}
 	// The restored handle must answer bit-identically...
 	got, err := h2.Query(ctx)
 	if err != nil {
@@ -82,15 +95,24 @@ func runCheckpointMatrix[R any](
 	if err != nil {
 		t.Fatalf("uninterrupted query: %v", err)
 	}
-	equal(t, got, want)
+	gotKey := key(got, func() (any, error) { return dynstream.QueryResult(ctx, h2) })
+	if wantKey := key(want, func() (any, error) { return dynstream.QueryResult(ctx, h1) }); gotKey != wantKey || got.Applied != want.Applied {
+		t.Fatalf("restored answer diverged:\n got %s (applied %d)\nwant %s (applied %d)", gotKey, got.Applied, wantKey, want.Applied)
+	}
 	// ...agree with a cold build over base+log...
 	cum := cloneStream(t, base)
 	appendAll(t, cum, log)
-	cold, err := dynstream.Build(ctx, cum, target)
+	res, err := dynstream.Build(ctx, cum, target)
 	if err != nil {
 		t.Fatalf("cold build: %v", err)
 	}
-	equal(t, got, cold)
+	cold, err := dynstream.Decode(ctx, target, res)
+	if err != nil {
+		t.Fatalf("cold decode: %v", err)
+	}
+	if coldKey := key(cold, func() (any, error) { return res, nil }); gotKey != coldKey {
+		t.Fatalf("restored answer diverged from cold build:\n got %s\nwant %s", gotKey, coldKey)
+	}
 	// ...and produce a byte-identical next checkpoint: the crash left
 	// no trace in the state itself.
 	var ck1, ck2 bytes.Buffer
@@ -105,94 +127,45 @@ func runCheckpointMatrix[R any](
 	}
 }
 
-func deepEqualCheck[R any](what string) func(t *testing.T, got, want R) {
-	return func(t *testing.T, got, want R) {
-		t.Helper()
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("restored %s diverged:\n got %+v\nwant %+v", what, got, want)
-		}
-	}
-}
-
 func TestCheckpointRestoreForest(t *testing.T) {
 	base, batches := handleStream(t, 9100)
-	runCheckpointMatrix(t, base, batches, dynstream.ForestTarget{Seed: 9101},
-		func(t *testing.T, got, want *dynstream.ForestSketch) {
-			t.Helper()
-			ge, err1 := got.SpanningForest(nil)
-			we, err2 := want.SpanningForest(nil)
-			if err1 != nil || err2 != nil {
-				t.Fatalf("decode: %v / %v", err1, err2)
-			}
-			deepEqualCheck[[]graph.Edge]("forest")(t, ge, we)
-		})
+	runCheckpointMatrix(t, base, batches, dynstream.ForestTarget{Seed: 9101}, nil)
 }
 
 func TestCheckpointRestoreKConnectivity(t *testing.T) {
 	base, batches := handleStream(t, 9200)
 	runCheckpointMatrix(t, base, batches, dynstream.KConnectivityTarget{Seed: 9201, K: 3},
-		func(t *testing.T, got, want *dynstream.KConnectivity) {
-			t.Helper()
-			gc, err1 := got.Certificate()
-			wc, err2 := want.Certificate()
-			if err1 != nil || err2 != nil {
-				t.Fatalf("decode: %v / %v", err1, err2)
+		func(kc *dynstream.KConnectivity) string {
+			cert, err := kc.CertificateOpts(nil)
+			if err != nil {
+				return err.Error()
 			}
-			deepEqualCheck[[][]graph.Edge]("certificate")(t, gc, wc)
+			return fmt.Sprint(cert)
 		})
 }
 
 func TestCheckpointRestoreBipartiteness(t *testing.T) {
 	base, batches := handleStream(t, 9300)
-	runCheckpointMatrix(t, base, batches, dynstream.BipartitenessTarget{Seed: 9301},
-		func(t *testing.T, got, want *dynstream.Bipartiteness) {
-			t.Helper()
-			gb, err1 := got.IsBipartite()
-			wb, err2 := want.IsBipartite()
-			if err1 != nil || err2 != nil {
-				t.Fatalf("decode: %v / %v", err1, err2)
-			}
-			if gb != wb {
-				t.Fatalf("restored bipartiteness %v, want %v", gb, wb)
-			}
-		})
+	runCheckpointMatrix(t, base, batches, dynstream.BipartitenessTarget{Seed: 9301}, nil)
 }
 
 func TestCheckpointRestoreMSF(t *testing.T) {
 	base, batches := handleStream(t, 9400)
-	runCheckpointMatrix(t, base, batches, dynstream.MSFTarget{Seed: 9401, WMax: 8, Gamma: 0.5},
-		func(t *testing.T, got, want *dynstream.MSF) {
-			t.Helper()
-			gf, err1 := got.Forest()
-			wf, err2 := want.Forest()
-			if err1 != nil || err2 != nil {
-				t.Fatalf("decode: %v / %v", err1, err2)
-			}
-			deepEqualCheck[[]graph.Edge]("msf")(t, gf, wf)
-		})
+	runCheckpointMatrix(t, base, batches, dynstream.MSFTarget{Seed: 9401, WMax: 8, Gamma: 0.5}, nil)
 }
 
 func TestCheckpointRestoreAdditive(t *testing.T) {
 	base, batches := handleStream(t, 9500)
 	runCheckpointMatrix(t, base, batches,
-		dynstream.AdditiveTarget{Config: dynstream.AdditiveConfig{D: 4, Seed: 9501}},
-		func(t *testing.T, got, want *dynstream.AdditiveResult) {
-			t.Helper()
-			edgesEqual(t, "restored additive", got.Spanner, want.Spanner)
-		})
+		dynstream.AdditiveTarget{Config: dynstream.AdditiveConfig{D: 4, Seed: 9501}}, nil)
 }
 
 func TestCheckpointRestoreSpanner(t *testing.T) {
 	base, batches := handleStream(t, 9600)
 	runCheckpointMatrix(t, base, batches,
 		dynstream.SpannerTarget{Config: dynstream.SpannerConfig{K: 3, Seed: 9601, CollectAugmented: true}},
-		func(t *testing.T, got, want *dynstream.SpannerResult) {
-			t.Helper()
-			edgesEqual(t, "restored spanner", got.Spanner, want.Spanner)
-			edgesEqual(t, "restored augmented", got.Augmented, want.Augmented)
-			if got.Terminals != want.Terminals || !reflect.DeepEqual(got.Stats, want.Stats) {
-				t.Fatalf("stats differ: %+v vs %+v", got.Stats, want.Stats)
-			}
+		func(res *dynstream.SpannerResult) string {
+			return fmt.Sprintf("augmented %v terminals %d stats %+v", res.Augmented.Edges(), res.Terminals, res.Stats)
 		})
 }
 
@@ -222,11 +195,7 @@ func TestCheckpointRestoreSparsifier(t *testing.T) {
 		}
 		batches = append(batches, rest[i:end])
 	}
-	runCheckpointMatrix(t, base, batches, target,
-		func(t *testing.T, got, want *dynstream.SparsifierResult) {
-			t.Helper()
-			edgesEqual(t, "restored sparsifier", got.Sparsifier, want.Sparsifier)
-		})
+	runCheckpointMatrix(t, base, batches, target, nil)
 }
 
 // TestCheckpointRejectsDamage pins the failure modes: every corrupt,
@@ -403,16 +372,11 @@ func TestCheckpointConcurrentWithApply(t *testing.T) {
 		}
 		prefix := dynstream.NewMemoryStream(n)
 		appendAll(t, prefix, log[:off])
-		want, err := dynstream.Build(ctx, prefix, target)
+		want, err := dynstream.BuildDecode(ctx, prefix, target)
 		if err != nil {
 			t.Fatalf("snapshot %d: cold build: %v", i, err)
 		}
-		ge, err1 := got.SpanningForest(nil)
-		we, err2 := want.SpanningForest(nil)
-		if err1 != nil || err2 != nil {
-			t.Fatalf("snapshot %d: decode: %v / %v", i, err1, err2)
-		}
-		if !reflect.DeepEqual(ge, we) {
+		if dynstream.AnswerKey(got) != dynstream.AnswerKey(want) {
 			t.Fatalf("snapshot %d (applied=%d): restored forest diverged from cold build", i, off)
 		}
 	}

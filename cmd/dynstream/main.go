@@ -89,8 +89,6 @@ import (
 
 	"dynstream"
 	"dynstream/internal/dynnet"
-	"dynstream/internal/graph"
-	"dynstream/internal/parallel"
 	"dynstream/internal/serve"
 )
 
@@ -345,38 +343,40 @@ func runBuild(ctx context.Context, args []string, extraOpts []dynstream.Option, 
 	case *ckpt != "" && !*repl:
 		return fmt.Errorf("-checkpoint/-every only apply to -repl sessions: %w", dynstream.ErrBadConfig)
 	}
-	// Sketch-target subcommands decode after Build returns; they run
-	// their extraction at the decode worker count (same output at any
-	// count, by the decode engine's determinism).
-	dw := *decodeW
-	if dw == 0 {
-		dw = *workers
-	}
 	if extra := fs.Args(); len(extra) > 0 {
 		return fmt.Errorf("unexpected arguments after flags: %v", extra)
 	}
-	// -trace/-trace-out attach one tracer to every phase of the run;
-	// the timeline prints on the way out (success or failure — a
-	// partial timeline is exactly what a stuck build needs).
-	var tr *dynstream.Tracer
+	// -trace/-trace-out attach one tracer to every phase of the run —
+	// Build and Decode, or the live handle's ingest and queries; the
+	// timeline prints on the way out (success or failure — a partial
+	// timeline is exactly what a stuck build needs).
+	opts := append([]dynstream.Option{
+		dynstream.WithWorkers(*workers),
+		dynstream.WithBatchSize(*batch),
+	}, extraOpts...)
+	if *decodeW > 0 {
+		opts = append(opts, dynstream.WithDecodeWorkers(*decodeW))
+	}
 	if *trace || *traceF != "" {
-		tr = dynstream.NewTracer()
+		tr := dynstream.NewTracer()
 		if *trace {
 			defer tr.WriteTimeline(stderr)
 		}
+		opts = append(opts, dynstream.WithTracer(tr))
 	}
-	// Post-build extraction runs outside Build, so it needs its own
-	// policy to land in the same timeline (agm/round, certificate, and
-	// MSF phases). A nil tracer keeps it the plain parallel decode.
-	dpol := parallel.Default().WithWorkers(dw).WithTracer(tr)
-	if *repl {
+	if *traceF != "" {
+		opts = append(opts, dynstream.WithTraceFile(*traceF))
+	}
+	inv := &invocation{ctx: ctx, opts: opts, repl: *repl, ck: replCkpt{path: *ckpt, every: *every},
+		stdin: stdin, stdout: stdout, stderr: stderr}
+	switch {
+	case *repl:
 		if *traceF != "" {
 			return fmt.Errorf("-trace-out needs a bounded build; use -trace for repl sessions: %w", dynstream.ErrBadConfig)
 		}
 		if len(extraOpts) > 0 || srcOverride != nil {
 			return fmt.Errorf("-repl is a local serving loop; it does not compose with coord: %w", dynstream.ErrBadConfig)
 		}
-		var base dynstream.Source
 		switch {
 		case *input != "":
 			f, err := os.Open(*input)
@@ -388,30 +388,17 @@ func runBuild(ctx context.Context, args []string, extraOpts []dynstream.Option, 
 			if err != nil {
 				return err
 			}
-			base = rs
+			inv.src = rs
 		case *nFlag > 0:
-			base = dynstream.NewMemoryStream(*nFlag)
+			inv.src = dynstream.NewMemoryStream(*nFlag)
 		default:
 			return fmt.Errorf("-repl needs a base stream: -in FILE or -n N: %w", dynstream.ErrBadConfig)
 		}
-		opts := []dynstream.Option{
-			dynstream.WithWorkers(*workers),
-			dynstream.WithBatchSize(*batch),
-		}
-		if *decodeW > 0 {
-			opts = append(opts, dynstream.WithDecodeWorkers(*decodeW))
-		}
-		if tr != nil {
-			opts = append(opts, dynstream.WithTracer(tr))
-		}
-		return runRepl(ctx, cmd, base, replParams{k: *k, d: *d, z: *z, seed: *seed, wmax: *wmax, dpol: dpol},
-			replCkpt{path: *ckpt, every: *every}, opts, stdin, stdout, stderr)
-	}
-	var src dynstream.Source
-	if srcOverride != nil {
-		src = srcOverride
-		fmt.Fprintf(stderr, "stream: n=%d from worker-local shards\n", src.N())
-	} else {
+		fmt.Fprintf(stderr, "repl: n=%d, serving %s (+/-/query/save/load/quit on stdin)\n", inv.src.N(), cmd)
+	case srcOverride != nil:
+		inv.src = srcOverride
+		fmt.Fprintf(stderr, "stream: n=%d from worker-local shards\n", inv.src.N())
+	default:
 		in := stdin
 		if *input != "" {
 			f, err := os.Open(*input)
@@ -426,140 +413,67 @@ func runBuild(ctx context.Context, args []string, extraOpts []dynstream.Option, 
 			return err
 		}
 		fmt.Fprintf(stderr, "stream: n=%d, %d workers\n", rs.N(), *workers)
-		src = rs
-	}
-
-	opts := append([]dynstream.Option{
-		dynstream.WithWorkers(*workers),
-		dynstream.WithBatchSize(*batch),
-	}, extraOpts...)
-	if *decodeW > 0 {
-		opts = append(opts, dynstream.WithDecodeWorkers(*decodeW))
-	}
-	if tr != nil {
-		opts = append(opts, dynstream.WithTracer(tr))
-	}
-	if *traceF != "" {
-		opts = append(opts, dynstream.WithTraceFile(*traceF))
+		inv.src = rs
 	}
 
 	switch cmd {
 	case "spanner":
-		st, err := replayableFor(src, 2, stderr)
-		if err != nil {
-			return err
-		}
-		res, err := dynstream.Build(ctx, st,
-			dynstream.SpannerTarget{Config: dynstream.SpannerConfig{K: *k, Seed: *seed}}, opts...)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(stderr, "2^%d-spanner: %d edges, %d sketch words\n",
-			*k, res.Spanner.M(), res.SpaceWords)
-		return writeEdges(stdout, res.Spanner)
-
+		return runTarget(inv, dynstream.SpannerTarget{Config: dynstream.SpannerConfig{K: *k, Seed: *seed}})
 	case "additive":
-		res, err := dynstream.Build(ctx, src,
-			dynstream.AdditiveTarget{Config: dynstream.AdditiveConfig{D: *d, Seed: *seed}}, opts...)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(stderr, "n/%d-additive spanner: %d edges, %d centers, %d sketch words\n",
-			*d, res.Spanner.M(), res.Centers, res.SpaceWords)
-		return writeEdges(stdout, res.Spanner)
-
+		return runTarget(inv, dynstream.AdditiveTarget{Config: dynstream.AdditiveConfig{D: *d, Seed: *seed}})
 	case "sparsify":
-		st, err := replayableFor(src, 2, stderr)
-		if err != nil {
-			return err
-		}
-		res, err := dynstream.Build(ctx, st,
-			dynstream.SparsifierTarget{Config: dynstream.SparsifierConfig{K: *k, Z: *z, Seed: *seed}}, opts...)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(stderr, "sparsifier: %d edges from %d samples, %d sketch words\n",
-			res.Sparsifier.M(), res.Samples, res.SpaceWords)
-		return writeEdges(stdout, res.Sparsifier)
-
+		return runTarget(inv, dynstream.SparsifierTarget{Config: dynstream.SparsifierConfig{K: *k, Z: *z, Seed: *seed}})
 	case "forest":
-		sk, err := dynstream.Build(ctx, src, dynstream.ForestTarget{Seed: *seed}, opts...)
-		if err != nil {
-			return err
-		}
-		forest, err := sk.SpanningForestOpts(nil, dpol)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(stderr, "spanning forest: %d edges, %d sketch words\n",
-			len(forest), sk.SpaceWords())
-		g := graph.New(src.N())
-		for _, e := range forest {
-			g.AddUnitEdge(e.U, e.V)
-		}
-		return writeEdges(stdout, g)
-
+		return runTarget(inv, dynstream.ForestTarget{Seed: *seed})
 	case "kcert":
-		kc, err := dynstream.Build(ctx, src,
-			dynstream.KConnectivityTarget{Seed: *seed, K: *k}, opts...)
-		if err != nil {
-			return err
-		}
-		cert, err := kc.CertificateGraphOpts(dpol)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(stderr, "%d-connectivity certificate: %d edges, %d sketch words\n",
-			*k, cert.M(), kc.SpaceWords())
-		return writeEdges(stdout, cert)
-
+		return runTarget(inv, dynstream.KConnectivityTarget{Seed: *seed, K: *k})
 	case "msf":
-		target := dynstream.MSFTarget{Seed: *seed, WMax: *wmax, Gamma: 0.5}
-		st, err := replayableFor(src, target.Passes(), stderr)
-		if err != nil {
-			return err
-		}
-		m, err := dynstream.Build(ctx, st, target, opts...)
-		if err != nil {
-			return err
-		}
-		forest, err := m.ForestOpts(dpol)
-		if err != nil {
-			return err
-		}
-		total := 0.0
-		g := graph.New(src.N())
-		for _, e := range forest {
-			g.AddEdge(e.U, e.V, e.W)
-			total += e.W
-		}
-		fmt.Fprintf(stderr, "approximate MSF: %d edges, class-weight total %g, %d sketch words\n",
-			len(forest), total, m.SpaceWords())
-		return writeEdges(stdout, g)
-
+		return runTarget(inv, dynstream.MSFTarget{Seed: *seed, WMax: *wmax, Gamma: 0.5})
 	case "bipartite":
-		b, err := dynstream.Build(ctx, src, dynstream.BipartitenessTarget{Seed: *seed}, opts...)
-		if err != nil {
-			return err
-		}
-		bip, err := b.IsBipartiteOpts(dpol)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "bipartite: %v\n", bip)
-		return nil
-
+		return runTarget(inv, dynstream.BipartitenessTarget{Seed: *seed})
 	default:
 		return fmt.Errorf("unknown subcommand %q", cmd)
 	}
 }
 
-// replParams carries the algorithm flags into the live serving loop.
-type replParams struct {
-	k, d, z int
-	seed    uint64
-	wmax    float64
-	dpol    *parallel.Policy // decode policy: worker count + tracer
+// invocation is one build subcommand, resolved: its input (for -repl,
+// the base stream), its options, and where its answers go.
+type invocation struct {
+	ctx            context.Context
+	src            dynstream.Source
+	opts           []dynstream.Option
+	repl           bool
+	ck             replCkpt
+	stdin          io.Reader
+	stdout, stderr io.Writer
+}
+
+// runTarget runs the subcommand's target: a one-shot Build plus Decode
+// that prints the Answer (edges on stdout, summary on stderr — or, for
+// the bipartiteness verdict, the summary on stdout), or with -repl a
+// live serving loop over the same target.
+func runTarget[R any](inv *invocation, target dynstream.Target[R]) error {
+	if inv.repl {
+		return serveLive(inv, target)
+	}
+	src, err := replayableFor(inv.src, target.Passes(), inv.stderr)
+	if err != nil {
+		return err
+	}
+	res, err := dynstream.Build(inv.ctx, src, target, inv.opts...)
+	if err != nil {
+		return err
+	}
+	a, err := dynstream.Decode(inv.ctx, target, res, inv.opts...)
+	if err != nil {
+		return err
+	}
+	if a.Graph == nil {
+		_, err := fmt.Fprintln(inv.stdout, a.Summary)
+		return err
+	}
+	fmt.Fprintf(inv.stderr, "%s, %d sketch words\n", a.Summary, a.SpaceWords)
+	return writeEdges(inv.stdout, a.Graph)
 }
 
 // replCkpt is the repl's auto-snapshot schedule (-checkpoint/-every).
@@ -568,129 +482,33 @@ type replCkpt struct {
 	every int
 }
 
-// runRepl opens a live handle for the subcommand's target and serves
-// the +/-/query/save/load command loop over it.
-func runRepl(ctx context.Context, cmd string, base dynstream.Source, pr replParams, ck replCkpt,
-	opts []dynstream.Option, stdin io.Reader, stdout, stderr io.Writer) error {
-	fmt.Fprintf(stderr, "repl: n=%d, serving %s (+/-/query/save/load/quit on stdin)\n", base.N(), cmd)
-	switch cmd {
-	case "spanner":
-		return serveLive(ctx, base,
-			dynstream.SpannerTarget{Config: dynstream.SpannerConfig{K: pr.k, Seed: pr.seed}},
-			ck, opts, stdin, stdout, stderr,
-			func(res *dynstream.SpannerResult) (*graph.Graph, string, error) {
-				return res.Spanner, fmt.Sprintf("2^%d-spanner: %d edges", pr.k, res.Spanner.M()), nil
-			})
-
-	case "additive":
-		return serveLive(ctx, base,
-			dynstream.AdditiveTarget{Config: dynstream.AdditiveConfig{D: pr.d, Seed: pr.seed}},
-			ck, opts, stdin, stdout, stderr,
-			func(res *dynstream.AdditiveResult) (*graph.Graph, string, error) {
-				return res.Spanner, fmt.Sprintf("n/%d-additive spanner: %d edges", pr.d, res.Spanner.M()), nil
-			})
-
-	case "sparsify":
-		return serveLive(ctx, base,
-			dynstream.SparsifierTarget{Config: dynstream.SparsifierConfig{K: pr.k, Z: pr.z, Seed: pr.seed}},
-			ck, opts, stdin, stdout, stderr,
-			func(res *dynstream.SparsifierResult) (*graph.Graph, string, error) {
-				return res.Sparsifier, fmt.Sprintf("sparsifier: %d edges from %d samples", res.Sparsifier.M(), res.Samples), nil
-			})
-
-	case "forest":
-		return serveLive(ctx, base, dynstream.ForestTarget{Seed: pr.seed},
-			ck, opts, stdin, stdout, stderr,
-			func(sk *dynstream.ForestSketch) (*graph.Graph, string, error) {
-				forest, err := sk.SpanningForestOpts(nil, pr.dpol)
-				if err != nil {
-					return nil, "", err
-				}
-				g := graph.New(base.N())
-				for _, e := range forest {
-					g.AddUnitEdge(e.U, e.V)
-				}
-				return g, fmt.Sprintf("spanning forest: %d edges", len(forest)), nil
-			})
-
-	case "kcert":
-		return serveLive(ctx, base, dynstream.KConnectivityTarget{Seed: pr.seed, K: pr.k},
-			ck, opts, stdin, stdout, stderr,
-			func(kc *dynstream.KConnectivity) (*graph.Graph, string, error) {
-				cert, err := kc.CertificateGraphOpts(pr.dpol)
-				if err != nil {
-					return nil, "", err
-				}
-				return cert, fmt.Sprintf("%d-connectivity certificate: %d edges", pr.k, cert.M()), nil
-			})
-
-	case "msf":
-		return serveLive(ctx, base, dynstream.MSFTarget{Seed: pr.seed, WMax: pr.wmax, Gamma: 0.5},
-			ck, opts, stdin, stdout, stderr,
-			func(m *dynstream.MSF) (*graph.Graph, string, error) {
-				forest, err := m.ForestOpts(pr.dpol)
-				if err != nil {
-					return nil, "", err
-				}
-				g := graph.New(base.N())
-				for _, e := range forest {
-					g.AddEdge(e.U, e.V, e.W)
-				}
-				return g, fmt.Sprintf("approximate MSF: %d edges", len(forest)), nil
-			})
-
-	case "bipartite":
-		return serveLive(ctx, base, dynstream.BipartitenessTarget{Seed: pr.seed},
-			ck, opts, stdin, stdout, stderr,
-			func(b *dynstream.Bipartiteness) (*graph.Graph, string, error) {
-				bip, err := b.IsBipartiteOpts(pr.dpol)
-				if err != nil {
-					return nil, "", err
-				}
-				return graph.New(0), fmt.Sprintf("bipartite: %v", bip), nil
-			})
-
-	default:
-		return fmt.Errorf("unknown subcommand %q", cmd)
-	}
-}
-
 // serveLive opens the target's handle over the base stream and serves
 // the command loop, wiring `load` to the library's Restore over the
 // same base/target/options.
-func serveLive[R any](ctx context.Context, base dynstream.Source, target dynstream.Target[R],
-	ck replCkpt, opts []dynstream.Option, stdin io.Reader, stdout, stderr io.Writer,
-	render func(R) (*graph.Graph, string, error)) error {
-	h, err := dynstream.Open(ctx, base, target, opts...)
+func serveLive[R any](inv *invocation, target dynstream.Target[R]) error {
+	h, err := dynstream.Open(inv.ctx, inv.src, target, inv.opts...)
 	if err != nil {
 		return err
 	}
-	restore := func(r io.Reader) (*dynstream.Handle[R], error) {
-		return dynstream.Restore(ctx, r, base, target, opts...)
+	restore := func(r io.Reader) (*dynstream.Handle, error) {
+		return dynstream.Restore(inv.ctx, r, inv.src, target, inv.opts...)
 	}
-	return serveReplErr(ctx, h, restore, ck, stdin, stdout, stderr, render)
-}
-
-// saveCheckpoint writes the handle's snapshot atomically (temp file +
-// rename, via the library's CheckpointFile): a process killed mid-write
-// can never leave a torn checkpoint at path.
-func saveCheckpoint[R any](h *dynstream.Handle[R], path string) error {
-	return dynstream.CheckpointFile(h, path)
+	return serveReplErr(inv.ctx, h, restore, inv.ck, inv.stdin, inv.stdout, inv.stderr)
 }
 
 // serveReplErr drives the live command loop: +/- lines accumulate into
 // a pending batch, "query" flushes the batch into the handle and
-// prints the freshly extracted result (edges on stdout, a summary line
-// on stderr), "save"/"load" checkpoint and restore the live state, and
+// prints the Answer (edges and an "ok <edges>" line on stdout, its
+// summary on stderr), "save"/"load" checkpoint and restore the live state, and
 // "quit" exits. A malformed line is answered with a distinguishable
 // "err <reason>" line on stdout (mirrored on stderr) and skipped, so a
 // scripted producer reading the response stream sees every rejection
 // in-band instead of a silent gap. With an auto-snapshot schedule
 // (-checkpoint/-every) the pending batch is flushed and the state
 // saved every `every` applied updates.
-func serveReplErr[R any](ctx context.Context, h *dynstream.Handle[R],
-	restore func(io.Reader) (*dynstream.Handle[R], error), ck replCkpt,
-	stdin io.Reader, stdout, stderr io.Writer, render func(R) (*graph.Graph, string, error)) error {
+func serveReplErr(ctx context.Context, h *dynstream.Handle,
+	restore func(io.Reader) (*dynstream.Handle, error), ck replCkpt,
+	stdin io.Reader, stdout, stderr io.Writer) error {
 	sc := bufio.NewScanner(stdin)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<20)
 	var pending []dynstream.Update
@@ -737,7 +555,7 @@ func serveReplErr[R any](ctx context.Context, h *dynstream.Handle[R],
 				if err := flush(); err != nil {
 					return err
 				}
-				if err := saveCheckpoint(h, ck.path); err != nil {
+				if err := dynstream.CheckpointFile(h, ck.path); err != nil {
 					return fmt.Errorf("repl: auto-checkpoint: %w", err)
 				}
 				fmt.Fprintf(stderr, "repl: checkpoint saved to %s (%d updates applied)\n", ck.path, h.AppliedUpdates())
@@ -746,22 +564,22 @@ func serveReplErr[R any](ctx context.Context, h *dynstream.Handle[R],
 			if err := flush(); err != nil {
 				return err
 			}
-			res, err := h.Query(ctx)
-			if err != nil {
-				return err
-			}
-			g, summary, err := render(res)
+			a, err := h.Query(ctx)
 			if err != nil {
 				return err
 			}
 			queries++
-			if err := writeEdges(stdout, g); err != nil {
+			edges := 0
+			if a.Graph != nil {
+				edges = a.Graph.M()
+			}
+			if err := writeEdges(stdout, a.Graph); err != nil {
 				return err
 			}
-			if _, err := fmt.Fprintf(stdout, "ok %d\n", g.M()); err != nil {
+			if _, err := fmt.Fprintf(stdout, "ok %d\n", edges); err != nil {
 				return err
 			}
-			fmt.Fprintf(stderr, "repl query %d: %s\n", queries, summary)
+			fmt.Fprintf(stderr, "repl query %d: %s\n", queries, a.Summary)
 		case "save":
 			if len(fields) != 2 {
 				if err := reject("want: save <path>"); err != nil {
@@ -772,7 +590,7 @@ func serveReplErr[R any](ctx context.Context, h *dynstream.Handle[R],
 			if err := flush(); err != nil {
 				return err
 			}
-			if err := saveCheckpoint(h, fields[1]); err != nil {
+			if err := dynstream.CheckpointFile(h, fields[1]); err != nil {
 				fmt.Fprintf(stderr, "repl: save: %v\n", err)
 				continue
 			}
@@ -827,7 +645,12 @@ func replayableFor(src dynstream.Source, passes int, stderr io.Writer) (dynstrea
 	return ms, nil
 }
 
-func writeEdges(w io.Writer, g *graph.Graph) error {
+// writeEdges prints g's edges as "u v w" lines (nothing for a nil
+// graph, the bipartiteness answer).
+func writeEdges(w io.Writer, g *dynstream.Graph) error {
+	if g == nil {
+		return nil
+	}
 	for _, e := range g.Edges() {
 		if _, err := fmt.Fprintf(w, "%d %d %g\n", e.U, e.V, e.W); err != nil {
 			return err

@@ -3,8 +3,11 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -244,5 +247,34 @@ func TestCLIForestTraceCoversDecode(t *testing.T) {
 	base, _ := runCLI(t, []string{"forest", "-seed", "4"}, testStream)
 	if out != base {
 		t.Error("forest output changed under -trace")
+	}
+
+	// -trace-out must hold the decode as well: the file is written after
+	// the post-build decode, not when Build returns.
+	for _, cmd := range []string{"forest", "kcert", "msf", "bipartite"} {
+		path := filepath.Join(t.TempDir(), cmd+".json")
+		traced, _ := runCLI(t, []string{cmd, "-seed", "4", "-trace-out", path}, testStream)
+		if plain, _ := runCLI(t, []string{cmd, "-seed", "4"}, testStream); traced != plain {
+			t.Errorf("%s output changed under -trace-out", cmd)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var doc struct {
+			TraceEvents []struct {
+				Name string `json:"name"`
+			} `json:"traceEvents"`
+		}
+		if err := json.Unmarshal(data, &doc); err != nil {
+			t.Fatalf("%s: trace file is not JSON: %v", cmd, err)
+		}
+		seen := map[string]bool{}
+		for _, ev := range doc.TraceEvents {
+			seen[ev.Name] = true
+		}
+		if !seen["ingest"] || !seen["agm/round00"] {
+			t.Errorf("%s -trace-out: want ingest and agm/round00 spans, got %v", cmd, seen)
+		}
 	}
 }

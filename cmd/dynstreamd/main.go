@@ -230,16 +230,14 @@ func run(args []string, stdin io.Reader, stderr io.Writer, lookupEnv func(string
 		return fail(err)
 	}
 
-	// Graceful drain: reject new updates, unblock and wait out the
-	// feed, write the final checkpoint, then stop the HTTP server.
+	// Graceful drain: reject new updates, write the final checkpoint,
+	// unblock and wait out a closable feed, then stop the HTTP server.
 	if err := srv.Drain(); err != nil {
 		logf("%v", err)
 		exit = 1
 	}
-	if feedClose != nil {
+	if feedClose != nil && feedDone != nil {
 		feedClose()
-	}
-	if feedDone != nil {
 		select {
 		case <-feedDone:
 		case <-time.After(10 * time.Second):
@@ -258,7 +256,8 @@ func run(args []string, stdin io.Reader, stderr io.Writer, lookupEnv func(string
 
 // startFeed launches the configured feed. It returns a closer that
 // unblocks any blocking reads at drain time (nil when there is nothing
-// to close); the feed's terminal error arrives on done.
+// to close, and then the drain does not wait for the feed); the feed's
+// terminal error arrives on done.
 func startFeed(ctx context.Context, srv *serve.Server, kind string, batch int,
 	stdin io.Reader, logf func(string, ...any), done chan<- error) (func(), error) {
 	switch {
@@ -267,10 +266,11 @@ func startFeed(ctx context.Context, srv *serve.Server, kind string, batch int,
 		return nil, nil
 
 	case kind == "stdin":
+		// Closing stdin does not wake a read blocked on it, so there is
+		// no closer and the drain does not wait for this feed: Drain's
+		// ingest lock already waits out an in-flight batch, and every
+		// later one is rejected.
 		go func() { done <- srv.IngestFeed(ctx, stdin, batch) }()
-		if c, ok := stdin.(io.Closer); ok {
-			return func() { c.Close() }, nil
-		}
 		return nil, nil
 
 	case strings.HasPrefix(kind, "tcp:"), strings.HasPrefix(kind, "unix:"):

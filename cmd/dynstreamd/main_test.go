@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"dynstream"
-	"dynstream/internal/graph"
 	"dynstream/internal/serve"
 )
 
@@ -87,8 +86,8 @@ func updLines(log []dynstream.Update) string {
 }
 
 // offlineForestEdges is the ground truth: an offline Build over exactly
-// log[:upto], rendered through the same graph the daemon's render uses,
-// so a correct daemon response matches bit for bit.
+// log[:upto], decoded and rendered exactly as the daemon renders, so a
+// correct daemon response matches bit for bit.
 func offlineForestEdges(t *testing.T, n int, log []dynstream.Update, upto int64, seed uint64) []serve.EdgeJSON {
 	t.Helper()
 	ms := dynstream.NewMemoryStream(n)
@@ -97,21 +96,18 @@ func offlineForestEdges(t *testing.T, n int, log []dynstream.Update, upto int64,
 			t.Fatal(err)
 		}
 	}
-	sk, err := dynstream.Build(context.Background(), ms, dynstream.ForestTarget{Seed: seed})
+	target := dynstream.ForestTarget{Seed: seed}
+	sk, err := dynstream.Build(context.Background(), ms, target)
 	if err != nil {
 		t.Fatal(err)
 	}
-	forest, err := sk.SpanningForestParallel(nil, 1)
+	a, err := dynstream.Decode(context.Background(), target, sk)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := graph.New(n)
-	for _, e := range forest {
-		g.AddUnitEdge(e.U, e.V)
-	}
-	out := []serve.EdgeJSON{}
-	for _, e := range g.Edges() {
-		out = append(out, serve.EdgeJSON{U: e.U, V: e.V, W: e.W})
+	out := serve.Render("forest", a).Edges
+	if out == nil {
+		out = []serve.EdgeJSON{}
 	}
 	return out
 }

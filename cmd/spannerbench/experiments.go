@@ -227,7 +227,7 @@ func runE8(p *params) error {
 			if err := s.Replay(func(u stream.Update) error { sk.AddUpdate(u); return nil }); err != nil {
 				return err
 			}
-			forest, err := sk.SpanningForest(nil)
+			forest, err := sk.SpanningForestOpts(nil, nil)
 			if err != nil {
 				return err
 			}
@@ -394,7 +394,7 @@ func runE10(p *params) error {
 		if err := st.Replay(func(u stream.Update) error { kc.AddUpdate(u); return nil }); err != nil {
 			return err
 		}
-		cert, err := kc.CertificateGraph()
+		cert, err := kc.CertificateGraphOpts(nil)
 		if err != nil {
 			return err
 		}
@@ -424,7 +424,7 @@ func runE10(p *params) error {
 		if err := st.Replay(func(u stream.Update) error { b.AddUpdate(u); return nil }); err != nil {
 			return err
 		}
-		got, err := b.IsBipartite()
+		got, err := b.IsBipartiteOpts(nil)
 		if err != nil {
 			return err
 		}

@@ -1,15 +1,15 @@
 // Command spannerbench regenerates every experiment table of the
-// reproduction (see DESIGN.md §4 and EXPERIMENTS.md): the quantitative
-// content of each theorem in "Spanners and Sparsifiers in Dynamic
-// Streams" (Kapralov–Woodruff, PODC 2014), measured on this
-// implementation.
+// reproduction: the quantitative content of each theorem in "Spanners
+// and Sparsifiers in Dynamic Streams" (Kapralov–Woodruff, PODC 2014),
+// measured on this implementation. The exps table in main lists the
+// experiments (E1–E10, A1–A3); their code is in experiments.go.
 //
 // Usage:
 //
 //	spannerbench [-exp all|E1|E2|...|E9|A1|A2|A3] [-quick] [-seed N]
 //
 // -quick shrinks instance sizes so the full suite finishes in a couple
-// of minutes on one core; the default sizes match EXPERIMENTS.md.
+// of minutes on one core; the default sizes are the full-scale tables.
 package main
 
 import (

@@ -10,6 +10,7 @@ import (
 
 	"dynstream"
 	"dynstream/internal/graph"
+	"dynstream/internal/parallel"
 )
 
 // Seeded parallel-decode == serial-decode equivalence for every
@@ -43,23 +44,23 @@ func TestForestDecodeEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			serial, err := sk.SpanningForest(nil)
+			serial, err := sk.SpanningForestOpts(nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			serialGrouped, err := sk.SpanningForest(groups)
+			serialGrouped, err := sk.SpanningForestOpts(groups, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, w := range decodeWorkerCounts {
-				got, err := sk.SpanningForestParallel(nil, w)
+				got, err := sk.SpanningForestOpts(nil, parallel.Default().WithWorkers(w))
 				if err != nil {
 					t.Fatal(err)
 				}
 				if !reflect.DeepEqual(got, serial) {
 					t.Fatalf("decode workers=%d: forest differs from serial decode", w)
 				}
-				got, err = sk.SpanningForestParallel(groups, w)
+				got, err = sk.SpanningForestOpts(groups, parallel.Default().WithWorkers(w))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -85,12 +86,12 @@ func TestKConnectivityDecodeEquivalence(t *testing.T) {
 				}
 				return kc
 			}
-			serial, err := build().Certificate()
+			serial, err := build().CertificateOpts(nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, w := range decodeWorkerCounts {
-				got, err := build().CertificateParallel(w)
+				got, err := build().CertificateOpts(parallel.Default().WithWorkers(w))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -112,12 +113,12 @@ func TestBipartitenessDecodeEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			serial, err := b.IsBipartite()
+			serial, err := b.IsBipartiteOpts(nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, w := range decodeWorkerCounts {
-				got, err := b.IsBipartiteParallel(w)
+				got, err := b.IsBipartiteOpts(parallel.Default().WithWorkers(w))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -137,12 +138,12 @@ func TestMSFDecodeEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			serial, err := m.Forest()
+			serial, err := m.ForestOpts(nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, w := range decodeWorkerCounts {
-				got, err := m.ForestParallel(w)
+				got, err := m.ForestOpts(parallel.Default().WithWorkers(w))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -251,11 +252,11 @@ func TestRemoteDecodeEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		marshalEqual(t, "forest sketch", serial, remote)
-		sf, err := serial.SpanningForest(nil)
+		sf, err := serial.SpanningForestOpts(nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rf, err := remote.SpanningForestParallel(nil, 4)
+		rf, err := remote.SpanningForestOpts(nil, parallel.Default().WithWorkers(4))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -71,7 +71,7 @@ func TestFacadeForestSketch(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	forest, err := fs.SpanningForest(nil)
+	forest, err := fs.SpanningForestOpts(nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +190,7 @@ func TestFacadeMSF(t *testing.T) {
 	if err := st.Replay(func(u Update) error { m.AddUpdate(u); return nil }); err != nil {
 		t.Fatal(err)
 	}
-	f, err := m.Forest()
+	f, err := m.ForestOpts(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -58,7 +58,7 @@ func Example_remoteBuild() {
 
 	rb, _ := remote.MarshalBinary()
 	lb, _ := local.MarshalBinary()
-	forest, err := remote.SpanningForest(nil)
+	forest, err := remote.SpanningForestOpts(nil, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -113,7 +113,7 @@ func ExampleNewForestSketch() {
 	fs.AddEdge(0, 3, 1)
 	fs.AddEdge(0, 3, -1) // delete the cycle-closing edge
 
-	forest, err := fs.SpanningForest(nil)
+	forest, err := fs.SpanningForestOpts(nil, nil)
 	if err != nil {
 		panic(err)
 	}
@@ -130,7 +130,7 @@ func ExampleNewBipartiteness() {
 	for i := 0; i < n; i++ {
 		b.AddUpdate(dynstream.Update{U: i, V: (i + 1) % n, Delta: 1})
 	}
-	bip, err := b.IsBipartite()
+	bip, err := b.IsBipartiteOpts(nil)
 	if err != nil {
 		panic(err)
 	}
@@ -141,9 +141,11 @@ func ExampleNewBipartiteness() {
 
 // ExampleHandle_query keeps a build live: Open ingests the base
 // stream, then Apply folds further updates into the sketch state and
-// each Query re-extracts — served from the decode caches, re-decoding
-// only the components the applied updates touched, and bit-identical
-// to a cold Build over the whole stream so far.
+// each Query decodes a fresh Answer — served from the decode caches,
+// re-decoding only the components the applied updates touched, and
+// bit-identical to a cold Build over the whole stream so far. An Answer
+// is a value: the first one still describes the base stream after the
+// Apply.
 func ExampleHandle_query() {
 	ctx := context.Background()
 	base := dynstream.NewMemoryStream(6)
@@ -157,15 +159,11 @@ func ExampleHandle_query() {
 	if err != nil {
 		panic(err)
 	}
-	sk, err := h.Query(ctx)
+	before, err := h.Query(ctx)
 	if err != nil {
 		panic(err)
 	}
-	forest, err := sk.SpanningForest(nil)
-	if err != nil {
-		panic(err)
-	}
-	fmt.Println("forest edges:", len(forest))
+	fmt.Println("forest edges:", before.Graph.M())
 
 	// Bridge the components — and delete an original edge — live.
 	err = h.Apply([]dynstream.Update{
@@ -176,11 +174,11 @@ func ExampleHandle_query() {
 	if err != nil {
 		panic(err)
 	}
-	forest, err = sk.SpanningForest(nil)
+	after, err := h.Query(ctx)
 	if err != nil {
 		panic(err)
 	}
-	fmt.Println("after apply:", len(forest))
+	fmt.Println("after apply:", after.Graph.M())
 	// Output:
 	// forest edges: 3
 	// after apply: 4

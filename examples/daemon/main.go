@@ -153,7 +153,7 @@ func edgesOf(qr serve.QueryResponse) []serve.EdgeJSON {
 }
 
 // offlineEdges is the ground truth: a from-scratch Build over a fixed
-// update prefix, rendered the same way the daemon renders.
+// update prefix, decoded and rendered exactly as the daemon renders.
 func offlineEdges(ctx context.Context, n int, log_ []dynstream.Update, seed uint64) []serve.EdgeJSON {
 	ms := dynstream.NewMemoryStream(n)
 	for _, u := range log_ {
@@ -161,21 +161,14 @@ func offlineEdges(ctx context.Context, n int, log_ []dynstream.Update, seed uint
 			log.Fatal(err)
 		}
 	}
-	sk, err := dynstream.Build(ctx, ms, dynstream.ForestTarget{Seed: seed})
+	target := dynstream.ForestTarget{Seed: seed}
+	sk, err := dynstream.Build(ctx, ms, target)
 	if err != nil {
 		log.Fatal(err)
 	}
-	forest, err := sk.SpanningForestParallel(nil, 1)
+	a, err := dynstream.Decode(ctx, target, sk)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fg := graph.New(n)
-	for _, e := range forest {
-		fg.AddUnitEdge(e.U, e.V)
-	}
-	out := []serve.EdgeJSON{}
-	for _, e := range fg.Edges() {
-		out = append(out, serve.EdgeJSON{U: e.U, V: e.V, W: e.W})
-	}
-	return out
+	return edgesOf(*serve.Render("forest", a))
 }

@@ -116,7 +116,7 @@ func main() {
 	}
 	fmt.Printf("distributed state == local state: OK (%d bytes)\n", len(db))
 
-	forest, err := state.SpanningForest(nil)
+	forest, err := state.SpanningForestOpts(nil, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -16,10 +16,10 @@ import (
 
 // Handle is a live build: where Build ingests a stream and decodes
 // once, Open returns a handle whose sketch state stays mutable —
-// further updates fold in with Apply, and repeated Query calls
-// re-extract the result from the current state. Because every
-// construction is a linear sketch, a query after any sequence of Apply
-// batches is bit-identical to a cold Build over the concatenated
+// further updates fold in with Apply, and every Query decodes the
+// current state into a fresh Answer. Because every construction is a
+// linear sketch, a query after any sequence of Apply batches is
+// bit-identical to Decode of a cold Build over the concatenated
 // stream, at every worker count.
 //
 // Queries are served incrementally: each target keeps per-region
@@ -31,16 +31,20 @@ import (
 // on by default for handles; WithDecodeCache(false) disables them
 // (queries then re-extract cold but remain identical).
 //
-// A Handle is safe for use from one goroutine at a time per method
-// call (an internal mutex serializes Apply/Query/Merge/Invalidate);
-// concurrent callers still need their own ordering if they care which
-// updates a query observes.
-type Handle[R any] struct {
+// A Handle is safe for concurrent use: an internal mutex serializes
+// Apply/Query/Merge/Invalidate/Checkpoint, and a Query decodes under
+// it, so its Answer is a consistent batch-boundary snapshot that
+// shares nothing with the live state. Concurrent callers still need
+// their own ordering if they care which updates a query observes.
+type Handle struct {
 	mu   sync.Mutex
 	n    int
 	src  Source
 	o    *buildOptions
-	live liveState[R]
+	live liveState
+	// answer renders what live.query returns (the target's result type
+	// R, erased to any) — the target's own answer method.
+	answer func(res any, p *parallel.Policy) (*Answer, error)
 	// applied counts the updates folded in with Apply since Open (or
 	// since the checkpointed handle's own Open, for a restored handle).
 	// It is written into every checkpoint, so a restorer knows exactly
@@ -61,9 +65,13 @@ type CacheStats struct {
 }
 
 // liveState is the per-target mutable state behind a Handle.
-type liveState[R any] interface {
+type liveState interface {
 	apply(batch []Update) error
-	query(p *parallel.Policy) (R, error)
+	// query returns the target's result type R for its answer method:
+	// the live sketch itself for the AGM family (the answer decodes
+	// it, still under the handle mutex), a freshly extracted result
+	// for the spanner, additive spanner and sparsifier.
+	query(p *parallel.Policy) (any, error)
 	enableCache(on bool)
 	invalidate()
 	// cacheStats reports cumulative decode-cache hits and misses (see
@@ -73,6 +81,16 @@ type liveState[R any] interface {
 	// snapshot returns the state's kind tag and its serialized live
 	// contents for Handle.Checkpoint (see checkpoint.go).
 	snapshot() (dynnet.StateKind, []byte, error)
+}
+
+// newHandle wraps a target's live state; applied is the update count
+// the state already holds (non-zero only for a restored handle).
+func newHandle[R any](src Source, o *buildOptions, target Target[R], live liveState, applied int64) *Handle {
+	live.enableCache(o.cacheOn())
+	return &Handle{
+		n: src.N(), src: src, o: o, live: live, applied: applied,
+		answer: func(res any, p *parallel.Policy) (*Answer, error) { return target.answer(res.(R), p) },
+	}
 }
 
 // Open is the live front door: it ingests src into the target's sketch
@@ -87,20 +105,35 @@ type liveState[R any] interface {
 // an explicit WMax: a scanned bound could be exceeded by a later
 // Apply batch. Multi-pass targets (spanner, sparsifier) need a
 // replayable source, which the handle retains for re-extraction.
-func Open[R any](ctx context.Context, src Source, target Target[R], opts ...Option) (*Handle[R], error) {
+func Open[R any](ctx context.Context, src Source, target Target[R], opts ...Option) (*Handle, error) {
+	o, err := liveOptions(src, target, opts)
+	if err != nil {
+		return nil, err
+	}
+	// The tracer (and the WithProgress observer riding on it) persists
+	// for the handle's lifetime: ingest here, then every Query and
+	// Checkpoint report into the same tracer.
+	tr, _ := o.effectiveTracer()
+	o.tracer = tr
+	live, err := target.openLive(src, o, o.livePolicy(ctx, src))
+	if err != nil {
+		return nil, err
+	}
+	return newHandle(src, o, target, live, 0), nil
+}
+
+// liveOptions is the shared gate of Open and Restore: the options must
+// pass Build's checks plus the live-only ones, and a multi-pass target
+// needs a replayable source.
+func liveOptions[R any](src Source, target Target[R], opts []Option) (*buildOptions, error) {
 	if src == nil {
 		return nil, fmt.Errorf("%w: nil source", ErrBadConfig)
 	}
 	if target == nil {
 		return nil, fmt.Errorf("%w: nil target", ErrBadConfig)
 	}
-	o := &buildOptions{}
-	for _, opt := range opts {
-		if opt != nil {
-			opt(o)
-		}
-	}
-	if err := o.validate(); err != nil {
+	o, err := resolveOptions(opts)
+	if err != nil {
 		return nil, err
 	}
 	if err := o.validateLive(); err != nil {
@@ -110,35 +143,29 @@ func Open[R any](ctx context.Context, src Source, target Target[R], opts ...Opti
 		return nil, fmt.Errorf("dynstream: %T needs %d passes over the stream: %w",
 			target, target.Passes(), ErrNotReplayable)
 	}
-	// The tracer (and the WithProgress observer riding on it) persists
-	// for the handle's lifetime: ingest here, then every QueryAt and
-	// Checkpoint report into the same tracer.
-	tr, _ := o.effectiveTracer()
-	o.tracer = tr
-	p := parallel.NewPolicy(ctx, o.resolveWorkers(src), o.batch, nil).
-		WithDecode(o.resolveDecodeWorkers(src)).WithTracer(tr)
-	live, err := target.openLive(src, o, p)
-	if err != nil {
-		return nil, err
-	}
-	live.enableCache(o.cacheOn())
-	return &Handle[R]{n: src.N(), src: src, o: o, live: live}, nil
+	return o, nil
+}
+
+// livePolicy is the execution policy of a handle's ingest and queries.
+func (o *buildOptions) livePolicy(ctx context.Context, src Source) *parallel.Policy {
+	return parallel.NewPolicy(ctx, o.resolveWorkers(src), o.batch, nil).
+		WithDecode(o.resolveDecodeWorkers(src)).WithTracer(o.tracer)
 }
 
 // BuildHandle is Open under Build's naming, for callers migrating from
 // the one-shot front door.
-func BuildHandle[R any](ctx context.Context, src Source, target Target[R], opts ...Option) (*Handle[R], error) {
+func BuildHandle[R any](ctx context.Context, src Source, target Target[R], opts ...Option) (*Handle, error) {
 	return Open(ctx, src, target, opts...)
 }
 
 // N returns the vertex count.
-func (h *Handle[R]) N() int { return h.n }
+func (h *Handle) N() int { return h.n }
 
 // Apply folds a batch of updates into the live sketch state. Updates
 // are validated and canonicalized exactly as a MemoryStream.Append
 // would, so a Query afterwards matches a cold Build over the base
 // stream plus every applied batch.
-func (h *Handle[R]) Apply(updates []Update) error {
+func (h *Handle) Apply(updates []Update) error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	checked := make([]Update, 0, len(updates))
@@ -161,48 +188,42 @@ func (h *Handle[R]) Apply(updates []Update) error {
 // the checkpointed handle's count. A caller replaying a stream through
 // Apply can therefore checkpoint at any point, crash, Restore, and
 // resume from exactly update AppliedUpdates() of its log.
-func (h *Handle[R]) AppliedUpdates() int64 {
+func (h *Handle) AppliedUpdates() int64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return h.applied
 }
 
-// Query extracts the target's result from the live state's current
-// contents — bit-identical to what Build would return over the total
-// stream, at any worker count. Sketch-family targets (forest,
-// k-connectivity, bipartiteness, MSF) return the live sketch itself;
-// its decode methods (SpanningForestOpts, CertificateOpts, ...) are
-// what re-decode incrementally. Decode-family targets (spanner,
-// additive spanner, sparsifier) return a freshly extracted result.
-func (h *Handle[R]) Query(ctx context.Context) (R, error) {
-	r, _, err := h.QueryAt(ctx)
-	return r, err
-}
-
-// QueryAt is Query plus the applied-update count the result observed,
-// both read under one hold of the handle's mutex. Concurrent servers
-// need the pair to be atomic: a Query followed by a separate
-// AppliedUpdates call can race an Apply in between, mislabeling which
-// stream prefix the result corresponds to. The count always lands on a
-// batch boundary (Apply is all-or-nothing), so a caller can prove the
-// result against an offline Build over exactly the first `applied`
-// updates of its log.
-func (h *Handle[R]) QueryAt(ctx context.Context) (R, int64, error) {
+// Query decodes the live state's current contents into an Answer —
+// bit-identical to Decode of a Build over the total stream, at any
+// worker count. The decode and the read of the applied-update count
+// (Answer.Applied) happen under one hold of the handle's mutex, so a
+// concurrent server can prove each answer against an offline build
+// over exactly the first Applied updates of its log; the count always
+// lands on a batch boundary (Apply is all-or-nothing). The whole
+// decode runs inside the handle tracer's "query" span, so a trace of
+// the query covers its Borůvka rounds, cluster decode and peeling.
+func (h *Handle) Query(ctx context.Context) (*Answer, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	sp := h.o.tracer.Span("query")
-	p := parallel.NewPolicy(ctx, h.o.resolveWorkers(h.src), h.o.batch, nil).
-		WithDecode(h.o.resolveDecodeWorkers(h.src)).WithTracer(h.o.tracer)
-	r, err := h.live.query(p)
-	if err == nil {
-		sp.End(obs.A("applied", h.applied))
+	p := h.o.livePolicy(ctx, h.src)
+	res, err := h.live.query(p)
+	if err != nil {
+		return nil, err
 	}
-	return r, h.applied, err
+	a, err := h.answer(res, p)
+	if err != nil {
+		return nil, err
+	}
+	a.Applied = h.applied
+	sp.End(obs.A("applied", h.applied))
+	return a, nil
 }
 
 // DecodeCacheStats reports the cumulative decode-cache hit/miss
 // counters of the live state (see CacheStats).
-func (h *Handle[R]) DecodeCacheStats() CacheStats {
+func (h *Handle) DecodeCacheStats() CacheStats {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	hits, misses := h.live.cacheStats()
@@ -219,7 +240,7 @@ func (h *Handle[R]) DecodeCacheStats() CacheStats {
 // (SpannerTarget, SparsifierTarget) reject Merge: their live log
 // cannot absorb updates it never saw — Apply the remote updates, or
 // merge pass-1 states before Open.
-func (h *Handle[R]) Merge(state any) error {
+func (h *Handle) Merge(state any) error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return h.live.merge(state)
@@ -229,7 +250,7 @@ func (h *Handle[R]) Merge(state any) error {
 // from scratch. Correctness never requires it — the digest checks
 // already reject stale cache entries — it only bounds memory or forces
 // a cold decode for measurement.
-func (h *Handle[R]) Invalidate() {
+func (h *Handle) Invalidate() {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	h.live.invalidate()
@@ -239,14 +260,11 @@ func (h *Handle[R]) Invalidate() {
 
 type forestLive struct{ s *agm.Sketch }
 
-func (l forestLive) apply(b []Update) error { l.s.AddBatch(b); return nil }
-func (l forestLive) query(p *parallel.Policy) (*ForestSketch, error) {
-	_ = p
-	return l.s, nil
-}
-func (l forestLive) enableCache(on bool)          { l.s.EnableDecodeCache(on) }
-func (l forestLive) invalidate()                  { l.s.InvalidateDecodeCache() }
-func (l forestLive) cacheStats() (uint64, uint64) { return l.s.DecodeCacheStats() }
+func (l forestLive) apply(b []Update) error              { l.s.AddBatch(b); return nil }
+func (l forestLive) query(*parallel.Policy) (any, error) { return l.s, nil }
+func (l forestLive) enableCache(on bool)                 { l.s.EnableDecodeCache(on) }
+func (l forestLive) invalidate()                         { l.s.InvalidateDecodeCache() }
+func (l forestLive) cacheStats() (uint64, uint64)        { return l.s.DecodeCacheStats() }
 func (l forestLive) merge(state any) error {
 	o, ok := state.(*agm.Sketch)
 	if !ok {
@@ -255,14 +273,8 @@ func (l forestLive) merge(state any) error {
 	return l.s.Merge(o)
 }
 
-func (t ForestTarget) openLive(src Source, o *buildOptions, p *parallel.Policy) (liveState[*ForestSketch], error) {
-	seed := t.Seed
-	if o.seedSet {
-		seed = o.seed
-	}
-	s, err := parallel.IngestBatchedOpts(p, src, func() *agm.Sketch {
-		return agm.New(seed, src.N(), t.Config)
-	})
+func (t ForestTarget) openLive(src Source, o *buildOptions, p *parallel.Policy) (liveState, error) {
+	s, err := t.build(src, o, p)
 	if err != nil {
 		return nil, err
 	}
@@ -271,14 +283,11 @@ func (t ForestTarget) openLive(src Source, o *buildOptions, p *parallel.Policy) 
 
 type kconnLive struct{ kc *agm.KConnectivity }
 
-func (l kconnLive) apply(b []Update) error { l.kc.AddBatch(b); return nil }
-func (l kconnLive) query(p *parallel.Policy) (*KConnectivity, error) {
-	_ = p
-	return l.kc, nil
-}
-func (l kconnLive) enableCache(on bool)          { l.kc.EnableDecodeCache(on) }
-func (l kconnLive) invalidate()                  { l.kc.InvalidateDecodeCache() }
-func (l kconnLive) cacheStats() (uint64, uint64) { return l.kc.DecodeCacheStats() }
+func (l kconnLive) apply(b []Update) error              { l.kc.AddBatch(b); return nil }
+func (l kconnLive) query(*parallel.Policy) (any, error) { return l.kc, nil }
+func (l kconnLive) enableCache(on bool)                 { l.kc.EnableDecodeCache(on) }
+func (l kconnLive) invalidate()                         { l.kc.InvalidateDecodeCache() }
+func (l kconnLive) cacheStats() (uint64, uint64)        { return l.kc.DecodeCacheStats() }
 func (l kconnLive) merge(state any) error {
 	o, ok := state.(*agm.KConnectivity)
 	if !ok {
@@ -287,14 +296,8 @@ func (l kconnLive) merge(state any) error {
 	return l.kc.Merge(o)
 }
 
-func (t KConnectivityTarget) openLive(src Source, o *buildOptions, p *parallel.Policy) (liveState[*KConnectivity], error) {
-	seed := t.Seed
-	if o.seedSet {
-		seed = o.seed
-	}
-	kc, err := parallel.IngestBatchedOpts(p, src, func() *agm.KConnectivity {
-		return agm.NewKConnectivity(seed, src.N(), t.K)
-	})
+func (t KConnectivityTarget) openLive(src Source, o *buildOptions, p *parallel.Policy) (liveState, error) {
+	kc, err := t.build(src, o, p)
 	if err != nil {
 		return nil, err
 	}
@@ -303,14 +306,11 @@ func (t KConnectivityTarget) openLive(src Source, o *buildOptions, p *parallel.P
 
 type bipLive struct{ b *agm.Bipartiteness }
 
-func (l bipLive) apply(b []Update) error { l.b.AddBatch(b); return nil }
-func (l bipLive) query(p *parallel.Policy) (*Bipartiteness, error) {
-	_ = p
-	return l.b, nil
-}
-func (l bipLive) enableCache(on bool)          { l.b.EnableDecodeCache(on) }
-func (l bipLive) invalidate()                  { l.b.InvalidateDecodeCache() }
-func (l bipLive) cacheStats() (uint64, uint64) { return l.b.DecodeCacheStats() }
+func (l bipLive) apply(b []Update) error              { l.b.AddBatch(b); return nil }
+func (l bipLive) query(*parallel.Policy) (any, error) { return l.b, nil }
+func (l bipLive) enableCache(on bool)                 { l.b.EnableDecodeCache(on) }
+func (l bipLive) invalidate()                         { l.b.InvalidateDecodeCache() }
+func (l bipLive) cacheStats() (uint64, uint64)        { return l.b.DecodeCacheStats() }
 func (l bipLive) merge(state any) error {
 	o, ok := state.(*agm.Bipartiteness)
 	if !ok {
@@ -319,14 +319,8 @@ func (l bipLive) merge(state any) error {
 	return l.b.Merge(o)
 }
 
-func (t BipartitenessTarget) openLive(src Source, o *buildOptions, p *parallel.Policy) (liveState[*Bipartiteness], error) {
-	seed := t.Seed
-	if o.seedSet {
-		seed = o.seed
-	}
-	b, err := parallel.IngestBatchedOpts(p, src, func() *agm.Bipartiteness {
-		return agm.NewBipartiteness(seed, src.N())
-	})
+func (t BipartitenessTarget) openLive(src Source, o *buildOptions, p *parallel.Policy) (liveState, error) {
+	b, err := t.build(src, o, p)
 	if err != nil {
 		return nil, err
 	}
@@ -335,14 +329,11 @@ func (t BipartitenessTarget) openLive(src Source, o *buildOptions, p *parallel.P
 
 type msfLive struct{ m *agm.MSF }
 
-func (l msfLive) apply(b []Update) error { l.m.AddBatch(b); return nil }
-func (l msfLive) query(p *parallel.Policy) (*MSF, error) {
-	_ = p
-	return l.m, nil
-}
-func (l msfLive) enableCache(on bool)          { l.m.EnableDecodeCache(on) }
-func (l msfLive) invalidate()                  { l.m.InvalidateDecodeCache() }
-func (l msfLive) cacheStats() (uint64, uint64) { return l.m.DecodeCacheStats() }
+func (l msfLive) apply(b []Update) error              { l.m.AddBatch(b); return nil }
+func (l msfLive) query(*parallel.Policy) (any, error) { return l.m, nil }
+func (l msfLive) enableCache(on bool)                 { l.m.EnableDecodeCache(on) }
+func (l msfLive) invalidate()                         { l.m.InvalidateDecodeCache() }
+func (l msfLive) cacheStats() (uint64, uint64)        { return l.m.DecodeCacheStats() }
 func (l msfLive) merge(state any) error {
 	o, ok := state.(*agm.MSF)
 	if !ok {
@@ -351,17 +342,11 @@ func (l msfLive) merge(state any) error {
 	return l.m.Merge(o)
 }
 
-func (t MSFTarget) openLive(src Source, o *buildOptions, p *parallel.Policy) (liveState[*MSF], error) {
+func (t MSFTarget) openLive(src Source, o *buildOptions, p *parallel.Policy) (liveState, error) {
 	if t.WMax <= 0 {
 		return nil, fmt.Errorf("%w: a live MSF handle needs an explicit WMax (a scanned bound could be exceeded by a later Apply)", ErrBadConfig)
 	}
-	seed := t.Seed
-	if o.seedSet {
-		seed = o.seed
-	}
-	m, err := parallel.IngestBatchedOpts(p, src, func() *agm.MSF {
-		return agm.NewMSF(seed, src.N(), t.WMax, t.Gamma)
-	})
+	m, err := t.build(src, o, p)
 	if err != nil {
 		return nil, err
 	}
@@ -370,13 +355,11 @@ func (t MSFTarget) openLive(src Source, o *buildOptions, p *parallel.Policy) (li
 
 type additiveLive struct{ a *spanner.Additive }
 
-func (l additiveLive) apply(b []Update) error { return l.a.AddBatch(b) }
-func (l additiveLive) query(p *parallel.Policy) (*AdditiveResult, error) {
-	return l.a.ExtractOpts(p)
-}
-func (l additiveLive) enableCache(on bool)          { l.a.EnableDecodeCache(on) }
-func (l additiveLive) invalidate()                  { l.a.InvalidateDecodeCache() }
-func (l additiveLive) cacheStats() (uint64, uint64) { return l.a.DecodeCacheStats() }
+func (l additiveLive) apply(b []Update) error                { return l.a.AddBatch(b) }
+func (l additiveLive) query(p *parallel.Policy) (any, error) { return l.a.ExtractOpts(p) }
+func (l additiveLive) enableCache(on bool)                   { l.a.EnableDecodeCache(on) }
+func (l additiveLive) invalidate()                           { l.a.InvalidateDecodeCache() }
+func (l additiveLive) cacheStats() (uint64, uint64)          { return l.a.DecodeCacheStats() }
 func (l additiveLive) merge(state any) error {
 	o, ok := state.(*spanner.Additive)
 	if !ok {
@@ -385,7 +368,7 @@ func (l additiveLive) merge(state any) error {
 	return l.a.Merge(o)
 }
 
-func (t AdditiveTarget) openLive(src Source, o *buildOptions, p *parallel.Policy) (liveState[*AdditiveResult], error) {
+func (t AdditiveTarget) openLive(src Source, o *buildOptions, p *parallel.Policy) (liveState, error) {
 	cfg := t.Config
 	if o.seedSet {
 		cfg.Seed = o.seed
@@ -401,19 +384,18 @@ func (t AdditiveTarget) openLive(src Source, o *buildOptions, p *parallel.Policy
 
 type twoPassLive struct{ tp *spanner.TwoPass }
 
-func (l twoPassLive) apply(b []Update) error { return l.tp.ApplyLive(b) }
-func (l twoPassLive) query(p *parallel.Policy) (*SpannerResult, error) {
-	return l.tp.QueryLive(p)
-}
-func (l twoPassLive) enableCache(on bool)          { l.tp.EnableDecodeCache(on) }
-func (l twoPassLive) invalidate()                  { l.tp.InvalidateDecodeCache() }
-func (l twoPassLive) cacheStats() (uint64, uint64) { return l.tp.DecodeCacheStats() }
+func (l twoPassLive) apply(b []Update) error                { return l.tp.ApplyLive(b) }
+func (l twoPassLive) query(p *parallel.Policy) (any, error) { return l.tp.QueryLive(p) }
+func (l twoPassLive) enableCache(on bool)                   { l.tp.EnableDecodeCache(on) }
+func (l twoPassLive) invalidate()                           { l.tp.InvalidateDecodeCache() }
+func (l twoPassLive) cacheStats() (uint64, uint64)          { return l.tp.DecodeCacheStats() }
 func (l twoPassLive) merge(any) error {
 	return fmt.Errorf("%w: a two-pass spanner handle cannot merge remote state (its live log never saw those updates); Apply them instead", ErrBadConfig)
 }
 
-func (t SpannerTarget) openLive(src Source, o *buildOptions, p *parallel.Policy) (liveState[*SpannerResult], error) {
-	_ = p // ingest is the serial replay StartLive runs; queries use the per-call policy
+func (t SpannerTarget) openLive(src Source, o *buildOptions, _ *parallel.Policy) (liveState, error) {
+	// Ingest is the serial replay StartLive runs; queries use the
+	// per-call policy.
 	cfg := t.Config
 	if o.seedSet {
 		cfg.Seed = o.seed
@@ -427,19 +409,16 @@ func (t SpannerTarget) openLive(src Source, o *buildOptions, p *parallel.Policy)
 
 type sparsifyLive struct{ ls *sparsify.Live }
 
-func (l sparsifyLive) apply(b []Update) error { return l.ls.Apply(b) }
-func (l sparsifyLive) query(p *parallel.Policy) (*SparsifierResult, error) {
-	return l.ls.Query(p)
-}
-func (l sparsifyLive) enableCache(on bool)          { l.ls.EnableDecodeCache(on) }
-func (l sparsifyLive) invalidate()                  { l.ls.InvalidateDecodeCache() }
-func (l sparsifyLive) cacheStats() (uint64, uint64) { return l.ls.DecodeCacheStats() }
+func (l sparsifyLive) apply(b []Update) error                { return l.ls.Apply(b) }
+func (l sparsifyLive) query(p *parallel.Policy) (any, error) { return l.ls.Query(p) }
+func (l sparsifyLive) enableCache(on bool)                   { l.ls.EnableDecodeCache(on) }
+func (l sparsifyLive) invalidate()                           { l.ls.InvalidateDecodeCache() }
+func (l sparsifyLive) cacheStats() (uint64, uint64)          { return l.ls.DecodeCacheStats() }
 func (l sparsifyLive) merge(any) error {
 	return fmt.Errorf("%w: a sparsifier handle cannot merge remote state (its live logs never saw those updates); Apply them instead", ErrBadConfig)
 }
 
-func (t SparsifierTarget) openLive(src Source, o *buildOptions, p *parallel.Policy) (liveState[*SparsifierResult], error) {
-	_ = p
+func (t SparsifierTarget) openLive(src Source, o *buildOptions, _ *parallel.Policy) (liveState, error) {
 	cfg := t.Config
 	if o.seedSet {
 		cfg.Seed = o.seed

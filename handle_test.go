@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"reflect"
 	"testing"
 	"time"
 
@@ -121,207 +120,126 @@ func runHandleMatrix[X any](
 	check(len(batches))
 }
 
-func TestHandleForestMatrix(t *testing.T) {
+// answerMatrix runs the interleaving matrix for one target over
+// Answers: every round's incremental Query must render exactly what
+// Decode of a cold Build over the cumulative stream renders. detail,
+// when non-nil, keys result fields an Answer does not carry; it reads
+// the live result through the QueryResult test hook and the cold one
+// straight from Build.
+func answerMatrix[R any](t *testing.T, seed uint64, w int, target dynstream.Target[R], detail func(R) string) {
 	ctx := context.Background()
-	target := dynstream.ForestTarget{Seed: 8101}
+	key := func(a *dynstream.Answer, res R) string {
+		k := dynstream.AnswerKey(a)
+		if detail != nil {
+			k += "\n" + detail(res)
+		}
+		return k
+	}
+	runHandleMatrix(t, seed, w,
+		func(base *dynstream.MemoryStream) (func([]dynstream.Update) error, func() (string, error), func(), error) {
+			h, err := dynstream.Open(ctx, base, target, dynstream.WithDecodeWorkers(w))
+			if err != nil {
+				return nil, nil, nil, err
+			}
+			query := func() (string, error) {
+				a, err := h.Query(ctx)
+				if err != nil {
+					return "", err
+				}
+				var res R
+				if detail != nil {
+					raw, err := dynstream.QueryResult(ctx, h)
+					if err != nil {
+						return "", err
+					}
+					res = raw.(R)
+				}
+				return key(a, res), nil
+			}
+			return h.Apply, query, h.Invalidate, nil
+		},
+		func(cum *dynstream.MemoryStream) (string, error) {
+			res, err := dynstream.Build(ctx, cum, target)
+			if err != nil {
+				return "", err
+			}
+			a, err := dynstream.Decode(ctx, target, res)
+			if err != nil {
+				return "", err
+			}
+			return key(a, res), nil
+		},
+		func(t *testing.T, round int, got, want string) {
+			t.Helper()
+			if got != want {
+				t.Fatalf("round %d: incremental answer diverged from cold rebuild:\n got %s\nwant %s", round, got, want)
+			}
+		})
+}
+
+func TestHandleForestMatrix(t *testing.T) {
 	for _, w := range decodeWorkerCounts {
 		t.Run(fmt.Sprintf("decode%d", w), func(t *testing.T) {
-			runHandleMatrix(t, 8100, w,
-				func(base *dynstream.MemoryStream) (func([]dynstream.Update) error, func() ([]graph.Edge, error), func(), error) {
-					h, err := dynstream.Open(ctx, base, target, dynstream.WithDecodeWorkers(w))
-					if err != nil {
-						return nil, nil, nil, err
-					}
-					query := func() ([]graph.Edge, error) {
-						sk, err := h.Query(ctx)
-						if err != nil {
-							return nil, err
-						}
-						return sk.SpanningForestParallel(nil, w)
-					}
-					return h.Apply, query, h.Invalidate, nil
-				},
-				func(cum *dynstream.MemoryStream) ([]graph.Edge, error) {
-					sk, err := dynstream.Build(ctx, cum, target)
-					if err != nil {
-						return nil, err
-					}
-					return sk.SpanningForest(nil)
-				},
-				func(t *testing.T, round int, got, want []graph.Edge) {
-					t.Helper()
-					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("round %d: incremental forest diverged from cold rebuild:\n got %v\nwant %v", round, got, want)
-					}
-				})
+			answerMatrix(t, 8100, w, dynstream.ForestTarget{Seed: 8101}, nil)
 		})
 	}
 }
 
 func TestHandleKConnectivityMatrix(t *testing.T) {
-	ctx := context.Background()
-	target := dynstream.KConnectivityTarget{Seed: 8201, K: 3}
+	// The Answer holds the certificate's union graph; the detail pins
+	// the k forests themselves.
+	forests := func(kc *dynstream.KConnectivity) string {
+		cert, err := kc.CertificateOpts(nil)
+		if err != nil {
+			return err.Error()
+		}
+		return fmt.Sprint(cert)
+	}
 	for _, w := range decodeWorkerCounts {
 		t.Run(fmt.Sprintf("decode%d", w), func(t *testing.T) {
-			runHandleMatrix(t, 8200, w,
-				func(base *dynstream.MemoryStream) (func([]dynstream.Update) error, func() ([][]graph.Edge, error), func(), error) {
-					h, err := dynstream.Open(ctx, base, target, dynstream.WithDecodeWorkers(w))
-					if err != nil {
-						return nil, nil, nil, err
-					}
-					query := func() ([][]graph.Edge, error) {
-						kc, err := h.Query(ctx)
-						if err != nil {
-							return nil, err
-						}
-						return kc.CertificateParallel(w)
-					}
-					return h.Apply, query, h.Invalidate, nil
-				},
-				func(cum *dynstream.MemoryStream) ([][]graph.Edge, error) {
-					kc, err := dynstream.Build(ctx, cum, target)
-					if err != nil {
-						return nil, err
-					}
-					return kc.Certificate()
-				},
-				func(t *testing.T, round int, got, want [][]graph.Edge) {
-					t.Helper()
-					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("round %d: incremental certificate diverged from cold rebuild", round)
-					}
-				})
+			answerMatrix(t, 8200, w, dynstream.KConnectivityTarget{Seed: 8201, K: 3}, forests)
 		})
 	}
 }
 
 func TestHandleBipartitenessMatrix(t *testing.T) {
-	ctx := context.Background()
-	target := dynstream.BipartitenessTarget{Seed: 8301}
 	for _, w := range decodeWorkerCounts {
 		t.Run(fmt.Sprintf("decode%d", w), func(t *testing.T) {
-			runHandleMatrix(t, 8300, w,
-				func(base *dynstream.MemoryStream) (func([]dynstream.Update) error, func() (bool, error), func(), error) {
-					h, err := dynstream.Open(ctx, base, target, dynstream.WithDecodeWorkers(w))
-					if err != nil {
-						return nil, nil, nil, err
-					}
-					query := func() (bool, error) {
-						b, err := h.Query(ctx)
-						if err != nil {
-							return false, err
-						}
-						return b.IsBipartiteParallel(w)
-					}
-					return h.Apply, query, h.Invalidate, nil
-				},
-				func(cum *dynstream.MemoryStream) (bool, error) {
-					b, err := dynstream.Build(ctx, cum, target)
-					if err != nil {
-						return false, err
-					}
-					return b.IsBipartite()
-				},
-				func(t *testing.T, round int, got, want bool) {
-					t.Helper()
-					if got != want {
-						t.Fatalf("round %d: incremental verdict %v, cold rebuild %v", round, got, want)
-					}
-				})
+			answerMatrix(t, 8300, w, dynstream.BipartitenessTarget{Seed: 8301}, nil)
 		})
 	}
 }
 
 func TestHandleMSFMatrix(t *testing.T) {
-	ctx := context.Background()
 	// Live MSF needs an explicit WMax; handleStream weights are ≤ 6.
-	target := dynstream.MSFTarget{Seed: 8401, WMax: 8, Gamma: 0.5}
 	for _, w := range decodeWorkerCounts {
 		t.Run(fmt.Sprintf("decode%d", w), func(t *testing.T) {
-			runHandleMatrix(t, 8400, w,
-				func(base *dynstream.MemoryStream) (func([]dynstream.Update) error, func() ([]graph.Edge, error), func(), error) {
-					h, err := dynstream.Open(ctx, base, target, dynstream.WithDecodeWorkers(w))
-					if err != nil {
-						return nil, nil, nil, err
-					}
-					query := func() ([]graph.Edge, error) {
-						m, err := h.Query(ctx)
-						if err != nil {
-							return nil, err
-						}
-						return m.ForestParallel(w)
-					}
-					return h.Apply, query, h.Invalidate, nil
-				},
-				func(cum *dynstream.MemoryStream) ([]graph.Edge, error) {
-					m, err := dynstream.Build(ctx, cum, target)
-					if err != nil {
-						return nil, err
-					}
-					return m.Forest()
-				},
-				func(t *testing.T, round int, got, want []graph.Edge) {
-					t.Helper()
-					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("round %d: incremental msf diverged from cold rebuild:\n got %v\nwant %v", round, got, want)
-					}
-				})
+			answerMatrix(t, 8400, w, dynstream.MSFTarget{Seed: 8401, WMax: 8, Gamma: 0.5}, nil)
 		})
 	}
 }
 
 func TestHandleSpannerMatrix(t *testing.T) {
-	ctx := context.Background()
 	target := dynstream.SpannerTarget{Config: dynstream.SpannerConfig{
 		K: 3, Seed: 8501, CollectAugmented: true,
 	}}
+	// The Answer holds the spanner; the detail pins the augmented set,
+	// the terminal count and the construction stats.
+	detail := func(res *dynstream.SpannerResult) string {
+		return fmt.Sprintf("augmented %v terminals %d stats %+v", res.Augmented.Edges(), res.Terminals, res.Stats)
+	}
 	for _, w := range decodeWorkerCounts {
 		t.Run(fmt.Sprintf("decode%d", w), func(t *testing.T) {
-			runHandleMatrix(t, 8500, w,
-				func(base *dynstream.MemoryStream) (func([]dynstream.Update) error, func() (*dynstream.SpannerResult, error), func(), error) {
-					h, err := dynstream.Open(ctx, base, target, dynstream.WithDecodeWorkers(w))
-					if err != nil {
-						return nil, nil, nil, err
-					}
-					query := func() (*dynstream.SpannerResult, error) { return h.Query(ctx) }
-					return h.Apply, query, h.Invalidate, nil
-				},
-				func(cum *dynstream.MemoryStream) (*dynstream.SpannerResult, error) {
-					return dynstream.Build(ctx, cum, target)
-				},
-				func(t *testing.T, round int, got, want *dynstream.SpannerResult) {
-					t.Helper()
-					edgesEqual(t, fmt.Sprintf("round %d spanner", round), got.Spanner, want.Spanner)
-					edgesEqual(t, fmt.Sprintf("round %d augmented", round), got.Augmented, want.Augmented)
-					if got.Terminals != want.Terminals || !reflect.DeepEqual(got.Stats, want.Stats) {
-						t.Fatalf("round %d: stats differ: %+v vs %+v", round, got.Stats, want.Stats)
-					}
-				})
+			answerMatrix(t, 8500, w, target, detail)
 		})
 	}
 }
 
 func TestHandleAdditiveMatrix(t *testing.T) {
-	ctx := context.Background()
 	target := dynstream.AdditiveTarget{Config: dynstream.AdditiveConfig{D: 4, Seed: 8601}}
 	for _, w := range decodeWorkerCounts {
 		t.Run(fmt.Sprintf("decode%d", w), func(t *testing.T) {
-			runHandleMatrix(t, 8600, w,
-				func(base *dynstream.MemoryStream) (func([]dynstream.Update) error, func() (*dynstream.AdditiveResult, error), func(), error) {
-					h, err := dynstream.Open(ctx, base, target, dynstream.WithDecodeWorkers(w))
-					if err != nil {
-						return nil, nil, nil, err
-					}
-					query := func() (*dynstream.AdditiveResult, error) { return h.Query(ctx) }
-					return h.Apply, query, h.Invalidate, nil
-				},
-				func(cum *dynstream.MemoryStream) (*dynstream.AdditiveResult, error) {
-					return dynstream.Build(ctx, cum, target)
-				},
-				func(t *testing.T, round int, got, want *dynstream.AdditiveResult) {
-					t.Helper()
-					edgesEqual(t, fmt.Sprintf("round %d additive", round), got.Spanner, want.Spanner)
-				})
+			answerMatrix(t, 8600, w, target, nil)
 		})
 	}
 }
@@ -358,11 +276,13 @@ func TestHandleSparsifierMatrix(t *testing.T) {
 				if err != nil {
 					t.Fatalf("round %d: query: %v", round, err)
 				}
-				want, err := dynstream.Build(ctx, cum, target)
+				want, err := dynstream.BuildDecode(ctx, cum, target)
 				if err != nil {
 					t.Fatalf("round %d: cold rebuild: %v", round, err)
 				}
-				edgesEqual(t, fmt.Sprintf("round %d sparsifier", round), got.Sparsifier, want.Sparsifier)
+				if g, w := dynstream.AnswerKey(got), dynstream.AnswerKey(want); g != w {
+					t.Fatalf("round %d: sparsifier answer diverged from cold rebuild:\n got %s\nwant %s", round, g, w)
+				}
 				if len(rest) == 0 {
 					break
 				}
@@ -407,13 +327,14 @@ func TestHandleMergeDirtiesExactlyTouchedComponents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sk, err := h.Query(ctx) // warm the decode cache over shard A
+	if _, err := h.Query(ctx); err != nil { // warm the decode cache over shard A
+		t.Fatal(err)
+	}
+	raw, err := dynstream.QueryResult(ctx, h)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sk.SpanningForest(nil); err != nil {
-		t.Fatal(err)
-	}
+	sk := raw.(*dynstream.ForestSketch) // the live sketch, for its generation counters
 	untouched := make([]int, 0, 19)
 	for v := 0; v < 20; v++ {
 		if v != 5 {
@@ -449,25 +370,11 @@ func TestHandleMergeDirtiesExactlyTouchedComponents(t *testing.T) {
 	}
 
 	// The post-merge query must match a cold build over A + B.
-	got, err := sk.SpanningForest(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
 	union := cloneStream(t, a)
 	if err := b.Replay(func(u dynstream.Update) error { return union.Append(u) }); err != nil {
 		t.Fatal(err)
 	}
-	coldSk, err := dynstream.Build(ctx, union, target)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := coldSk.SpanningForest(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("post-merge forest diverged from cold union build:\n got %v\nwant %v", got, want)
-	}
+	answersEqual(t, "post-merge forest vs cold union build", h, union, target)
 
 	// And an Apply after the Merge keeps the handle exact.
 	extra := []dynstream.Update{{U: 0, V: 39, Delta: 1, W: 1}}
@@ -475,20 +382,24 @@ func TestHandleMergeDirtiesExactlyTouchedComponents(t *testing.T) {
 		t.Fatal(err)
 	}
 	appendAll(t, union, extra)
-	got, err = sk.SpanningForest(nil)
+	answersEqual(t, "post-merge apply vs cold union build", h, union, target)
+}
+
+// answersEqual fails unless h's Query answers exactly what Decode of a
+// cold Build over cum answers.
+func answersEqual[R any](t *testing.T, what string, h *dynstream.Handle, cum *dynstream.MemoryStream, target dynstream.Target[R]) {
+	t.Helper()
+	ctx := context.Background()
+	got, err := h.Query(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	coldSk, err = dynstream.Build(ctx, union, target)
+	want, err := dynstream.BuildDecode(ctx, cum, target)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err = coldSk.SpanningForest(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("post-merge apply diverged from cold union build:\n got %v\nwant %v", got, want)
+	if g, w := dynstream.AnswerKey(got), dynstream.AnswerKey(want); g != w {
+		t.Fatalf("%s: answers differ:\n got %s\nwant %s", what, g, w)
 	}
 }
 
@@ -511,11 +422,7 @@ func TestHandleMergeRemoteBlob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sk, err := h.Query(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sk.SpanningForest(nil); err != nil { // warm the cache pre-merge
+	if _, err := h.Query(ctx); err != nil { // warm the cache pre-merge
 		t.Fatal(err)
 	}
 
@@ -533,21 +440,7 @@ func TestHandleMergeRemoteBlob(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	got, err := sk.SpanningForest(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	coldSk, err := dynstream.Build(ctx, full, target)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := coldSk.SpanningForest(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("handle + coordinator-built merge diverged from cold full build")
-	}
+	answersEqual(t, "handle + coordinator-built merge vs cold full build", h, full, target)
 }
 
 func TestOpenValidation(t *testing.T) {
@@ -608,24 +501,6 @@ func TestHandleCacheOff(t *testing.T) {
 			t.Fatal(err)
 		}
 		appendAll(t, cum, b)
-		sk, err := h.Query(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := sk.SpanningForest(nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		coldSk, err := dynstream.Build(ctx, cum, target)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := coldSk.SpanningForest(nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("round %d: cache-off handle diverged from cold rebuild", i+1)
-		}
+		answersEqual(t, fmt.Sprintf("round %d: cache-off handle vs cold rebuild", i+1), h, cum, target)
 	}
 }

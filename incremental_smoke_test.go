@@ -85,7 +85,7 @@ func TestIncrementalSmokeLarge(t *testing.T) {
 	}
 	t.Logf("opened handle over %d updates in %v", baseOps, time.Since(start))
 
-	var live *dynstream.SpannerResult
+	var live *dynstream.Answer
 	qStart := time.Now()
 	for round := 0; round < rounds; round++ {
 		batch := make([]dynstream.Update, batchSize)
@@ -112,8 +112,19 @@ func TestIncrementalSmokeLarge(t *testing.T) {
 	}
 	t.Logf("cold rebuild in %v", time.Since(cStart))
 
-	edgesEqual(t, "final spanner", live.Spanner, cold.Spanner)
-	if live.Terminals != cold.Terminals || !reflect.DeepEqual(live.Stats, cold.Stats) {
-		t.Fatalf("final stats differ: %+v vs %+v", live.Stats, cold.Stats)
+	coldAnswer, err := dynstream.Decode(ctx, target, cold)
+	if err != nil {
+		t.Fatal(err)
+	}
+	edgesEqual(t, "final spanner", live.Graph, coldAnswer.Graph)
+	if dynstream.AnswerKey(live) != dynstream.AnswerKey(coldAnswer) {
+		t.Fatalf("final answers differ: %q vs %q", live.Summary, coldAnswer.Summary)
+	}
+	raw, err := dynstream.QueryResult(ctx, h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res := raw.(*dynstream.SpannerResult); res.Terminals != cold.Terminals || !reflect.DeepEqual(res.Stats, cold.Stats) {
+		t.Fatalf("final stats differ: %+v vs %+v", res.Stats, cold.Stats)
 	}
 }

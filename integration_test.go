@@ -47,7 +47,7 @@ func TestIntegrationFullCancellation(t *testing.T) {
 
 	fs := NewForestSketch(3, n, ForestConfig{})
 	_ = st.Replay(func(u Update) error { fs.AddUpdate(u); return nil })
-	forest, err := fs.SpanningForest(nil)
+	forest, err := fs.SpanningForestOpts(nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestIntegrationSharedStreamConsistency(t *testing.T) {
 	}
 	kc := NewKConnectivity(8, g.N(), 2)
 	_ = st.Replay(func(u Update) error { kc.AddUpdate(u); return nil })
-	cert, err := kc.CertificateGraph()
+	cert, err := kc.CertificateGraphOpts(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestIntegrationMultigraphMultiplicity(t *testing.T) {
 
 	fs := NewForestSketch(17, n, ForestConfig{})
 	_ = st.Replay(func(u Update) error { fs.AddUpdate(u); return nil })
-	forest, err := fs.SpanningForest(nil)
+	forest, err := fs.SpanningForestOpts(nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -313,32 +313,20 @@ func (s *Sketch) SubtractEdges(edges []graph.Edge) {
 	}
 }
 
-// SpanningForest extracts a spanning forest of the sketched graph. If
-// groups is non-nil, each group of vertices is first collapsed into a
-// supernode (clusters T_u of Algorithm 3); vertices absent from every
-// group stay singletons. The returned edges are original graph edges
-// whose endpoints lie in different (super)components, forming a forest
-// over the contraction.
-func (s *Sketch) SpanningForest(groups [][]int) ([]graph.Edge, error) {
-	return s.SpanningForestOpts(groups, parallel.Default())
-}
-
-// SpanningForestParallel is SpanningForest with each Borůvka round's
-// per-component sampler merges and L0 decodes fanned across `workers`
-// goroutines. The extracted forest is bit-identical to SpanningForest:
-// component results are placed by sorted root index and the unions are
-// applied serially in that order, exactly the serial schedule.
-func (s *Sketch) SpanningForestParallel(groups [][]int, workers int) ([]graph.Edge, error) {
-	return s.SpanningForestOpts(groups, parallel.Default().WithWorkers(workers))
-}
-
-// SpanningForestOpts is the policy-driven forest extraction behind
-// SpanningForest / SpanningForestParallel. Within each round the
-// per-component work (merge the component's samplers, draw one
-// boundary edge) touches disjoint state, so it fans across the
-// policy's workers with one reusable scratch sampler per worker;
-// everything order-sensitive — the round barrier, the union
-// application, membership maintenance — stays serial.
+// SpanningForestOpts extracts a spanning forest of the sketched graph
+// under the decode policy p (nil runs serially). If groups is non-nil,
+// each group of vertices is first collapsed into a supernode (clusters
+// T_u of Algorithm 3); vertices absent from every group stay
+// singletons. The returned edges are original graph edges whose
+// endpoints lie in different (super)components, forming a forest over
+// the contraction.
+//
+// Within each round the per-component work (merge the component's
+// samplers, draw one boundary edge) touches disjoint state, so it fans
+// across the policy's workers with one reusable scratch sampler per
+// worker; everything order-sensitive — the round barrier, the union
+// application, membership maintenance — stays serial, in sorted-root
+// order, so the forest is bit-identical at every worker count.
 func (s *Sketch) SpanningForestOpts(groups [][]int, p *parallel.Policy) ([]graph.Edge, error) {
 	uf := graph.NewUnionFind(s.n)
 	for gi, grp := range groups {

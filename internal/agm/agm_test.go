@@ -18,7 +18,7 @@ func forestFromGraph(t *testing.T, g *graph.Graph, seed uint64, groups [][]int) 
 	}); err != nil {
 		t.Fatal(err)
 	}
-	forest, err := s.SpanningForest(groups)
+	forest, err := s.SpanningForestOpts(groups, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestForestWithDeletions(t *testing.T) {
 			s.AddEdge(e.U, e.V, -1)
 		}
 	}
-	forest, err := s.SpanningForest(nil)
+	forest, err := s.SpanningForestOpts(nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestForestChurnStream(t *testing.T) {
 		s.AddUpdate(u)
 		return nil
 	})
-	forest, err := s.SpanningForest(nil)
+	forest, err := s.SpanningForestOpts(nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestSubtractEdges(t *testing.T) {
 	s.SubtractEdges([]graph.Edge{{U: 0, V: 1, W: 1}})
 	remaining := g.Clone()
 	remaining.RemoveEdge(0, 1)
-	forest, err := s.SpanningForest(nil)
+	forest, err := s.SpanningForestOpts(nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestSupernodeGroups(t *testing.T) {
 		s.AddUpdate(u)
 		return nil
 	})
-	forest, err := s.SpanningForest([][]int{{0, 1, 2, 3, 4}, {5, 6, 7, 8, 9}})
+	forest, err := s.SpanningForestOpts([][]int{{0, 1, 2, 3, 4}, {5, 6, 7, 8, 9}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,14 +157,14 @@ func TestSupernodeGroups(t *testing.T) {
 
 func TestSupernodeGroupValidation(t *testing.T) {
 	s := New(14, 5, Config{})
-	if _, err := s.SpanningForest([][]int{{0, 99}}); err == nil {
+	if _, err := s.SpanningForestOpts([][]int{{0, 99}}, nil); err == nil {
 		t.Error("out-of-range group vertex accepted")
 	}
 }
 
 func TestForestEmptyGraph(t *testing.T) {
 	s := New(15, 10, Config{})
-	forest, err := s.SpanningForest(nil)
+	forest, err := s.SpanningForestOpts(nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestForestEmptyGraph(t *testing.T) {
 func TestForestSingleEdge(t *testing.T) {
 	s := New(16, 4, Config{})
 	s.AddEdge(2, 3, 1)
-	forest, err := s.SpanningForest(nil)
+	forest, err := s.SpanningForestOpts(nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func TestForestMultigraphMultiplicities(t *testing.T) {
 	}
 	s.AddEdge(1, 2, 3)
 	s.AddEdge(3, 4, 2)
-	forest, err := s.SpanningForest(nil)
+	forest, err := s.SpanningForestOpts(nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +216,7 @@ func TestReliabilityAcrossSeeds(t *testing.T) {
 			s.AddUpdate(u)
 			return nil
 		})
-		forest, err := s.SpanningForest(nil)
+		forest, err := s.SpanningForestOpts(nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -168,25 +168,12 @@ func (kc *KConnectivity) Merge(o *KConnectivity) error {
 	return nil
 }
 
-// Certificate extracts k edge-disjoint spanning forests. Forest F_i is
-// computed from sketch i after subtracting F_1..F_{i-1} — each sketch's
-// randomness is consumed exactly once, so the whp guarantee of
-// Theorem 10 applies per forest.
-func (kc *KConnectivity) Certificate() ([][]graph.Edge, error) {
-	return kc.CertificateOpts(parallel.Default())
-}
-
-// CertificateParallel is Certificate with each forest's Borůvka rounds
-// decoded by `workers` goroutines (see Sketch.SpanningForestParallel).
-// The k forests themselves stay sequential — forest i is defined over
-// the sketch minus forests 1..i-1 — and the output is bit-identical to
-// Certificate.
-func (kc *KConnectivity) CertificateParallel(workers int) ([][]graph.Edge, error) {
-	return kc.CertificateOpts(parallel.Default().WithWorkers(workers))
-}
-
-// CertificateOpts is the policy-driven certificate extraction behind
-// Certificate / CertificateParallel.
+// CertificateOpts extracts k edge-disjoint spanning forests under the
+// decode policy p (nil runs serially). Forest F_i is computed from
+// sketch i after subtracting F_1..F_{i-1} — each sketch's randomness is
+// consumed exactly once, so the whp guarantee of Theorem 10 applies per
+// forest. Each forest's Borůvka rounds fan across the policy's
+// workers; the k forests themselves stay sequential.
 func (kc *KConnectivity) CertificateOpts(p *parallel.Policy) ([][]graph.Edge, error) {
 	var prior []graph.Edge
 	out := make([][]graph.Edge, 0, kc.k)
@@ -202,20 +189,8 @@ func (kc *KConnectivity) CertificateOpts(p *parallel.Policy) ([][]graph.Edge, er
 	return out, nil
 }
 
-// CertificateGraph returns the union of the certificate forests as a
-// graph — the sparse subgraph preserving all cuts up to value k.
-func (kc *KConnectivity) CertificateGraph() (*graph.Graph, error) {
-	return kc.CertificateGraphOpts(parallel.Default())
-}
-
-// CertificateGraphParallel is CertificateGraph with the per-forest
-// decode fanned across `workers` goroutines; output identical to
-// CertificateGraph.
-func (kc *KConnectivity) CertificateGraphParallel(workers int) (*graph.Graph, error) {
-	return kc.CertificateGraphOpts(parallel.Default().WithWorkers(workers))
-}
-
-// CertificateGraphOpts is the policy-driven form of CertificateGraph.
+// CertificateGraphOpts returns the union of the certificate forests as
+// a graph — the sparse subgraph preserving all cuts up to value k.
 func (kc *KConnectivity) CertificateGraphOpts(p *parallel.Policy) (*graph.Graph, error) {
 	forests, err := kc.CertificateOpts(p)
 	if err != nil {
@@ -271,7 +246,7 @@ func (b *Bipartiteness) EnableDecodeCache(on bool) {
 }
 
 // InvalidateDecodeCache drops both sketches' cached component decodes;
-// the next IsBipartite runs cold.
+// the next IsBipartiteOpts runs cold.
 func (b *Bipartiteness) InvalidateDecodeCache() {
 	b.base.InvalidateDecodeCache()
 	b.cover.InvalidateDecodeCache()
@@ -317,19 +292,9 @@ func (b *Bipartiteness) Merge(o *Bipartiteness) error {
 	return nil
 }
 
-// IsBipartite decides bipartiteness whp from the sketches alone.
-func (b *Bipartiteness) IsBipartite() (bool, error) {
-	return b.IsBipartiteOpts(parallel.Default())
-}
-
-// IsBipartiteParallel is IsBipartite with the two forest extractions
-// (G and its double cover) each decoded by `workers` goroutines;
-// verdict identical to IsBipartite.
-func (b *Bipartiteness) IsBipartiteParallel(workers int) (bool, error) {
-	return b.IsBipartiteOpts(parallel.Default().WithWorkers(workers))
-}
-
-// IsBipartiteOpts is the policy-driven form of IsBipartite.
+// IsBipartiteOpts decides bipartiteness whp from the sketches alone,
+// decoding the forests of G and of its double cover under p (nil runs
+// serially).
 func (b *Bipartiteness) IsBipartiteOpts(p *parallel.Policy) (bool, error) {
 	fBase, err := b.base.SpanningForestOpts(nil, p)
 	if err != nil {

@@ -21,7 +21,7 @@ func TestKConnectivityForestsAreEdgeDisjoint(t *testing.T) {
 	g := graph.Complete(12)
 	kc := NewKConnectivity(1, g.N(), 3)
 	streamInto(t, g, kc.AddUpdate)
-	forests, err := kc.Certificate()
+	forests, err := kc.CertificateOpts(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestKConnectivityCertificatePreservesSmallCuts(t *testing.T) {
 	g.AddUnitEdge(5, 11)
 	kc := NewKConnectivity(2, g.N(), 3)
 	streamInto(t, g, kc.AddUpdate)
-	cert, err := kc.CertificateGraph()
+	cert, err := kc.CertificateGraphOpts(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestKConnectivityUnderDeletions(t *testing.T) {
 	if err := st.Replay(func(u stream.Update) error { kc.AddUpdate(u); return nil }); err != nil {
 		t.Fatal(err)
 	}
-	cert, err := kc.CertificateGraph()
+	cert, err := kc.CertificateGraphOpts(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestBipartiteDetectsBipartite(t *testing.T) {
 	for _, c := range cases {
 		b := NewBipartiteness(7, c.g.N())
 		streamInto(t, c.g, b.AddUpdate)
-		got, err := b.IsBipartite()
+		got, err := b.IsBipartiteOpts(nil)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
@@ -148,11 +148,11 @@ func TestBipartiteAfterDeletionFlip(t *testing.T) {
 		b2.AddUpdate(stream.Update{U: i, V: (i + 1) % n, Delta: 1})
 	}
 	b2.AddUpdate(stream.Update{U: 0, V: 1, Delta: -1})
-	got1, err := b.IsBipartite()
+	got1, err := b.IsBipartiteOpts(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got2, err := b2.IsBipartite()
+	got2, err := b2.IsBipartiteOpts(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestBipartiteDisconnectedMixed(t *testing.T) {
 	g.AddUnitEdge(13, 7) // 7-cycle (odd)
 	b := NewBipartiteness(9, g.N())
 	streamInto(t, g, b.AddUpdate)
-	got, err := b.IsBipartite()
+	got, err := b.IsBipartiteOpts(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

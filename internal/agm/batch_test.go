@@ -48,11 +48,11 @@ func TestSketchAddBatchEquivalence(t *testing.T) {
 			if !bytes.Equal(b1, b2) {
 				t.Fatal("AddBatch sketch bytes differ from AddUpdate")
 			}
-			f1, err := one.SpanningForest(nil)
+			f1, err := one.SpanningForestOpts(nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			f2, err := batched.SpanningForest(nil)
+			f2, err := batched.SpanningForestOpts(nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

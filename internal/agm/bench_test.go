@@ -24,7 +24,7 @@ func BenchmarkSpanningForest(b *testing.B) {
 	})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.SpanningForest(nil); err != nil {
+		if _, err := s.SpanningForestOpts(nil, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -39,7 +39,7 @@ func BenchmarkBipartiteness(b *testing.B) {
 			bip.AddUpdate(u)
 			return nil
 		})
-		if _, err := bip.IsBipartite(); err != nil {
+		if _, err := bip.IsBipartiteOpts(nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -93,7 +93,7 @@ func TestSpanningForestCacheReuse(t *testing.T) {
 	for v := 1; v < n; v++ {
 		s.AddEdge(v-1, v, 1) // path graph
 	}
-	first, err := s.SpanningForest(nil)
+	first, err := s.SpanningForestOpts(nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestSpanningForestCacheReuse(t *testing.T) {
 		t.Fatal("no picks cached")
 	}
 	cached := s.cachedPickCount()
-	again, err := s.SpanningForest(nil)
+	again, err := s.SpanningForestOpts(nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,11 +125,11 @@ func TestCertificateRepeatable(t *testing.T) {
 		kc.AddEdge(v-1, v, 1)
 		kc.AddEdge((v*7)%n, v, 1)
 	}
-	first, err := kc.Certificate()
+	first, err := kc.CertificateOpts(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := kc.Certificate()
+	second, err := kc.CertificateOpts(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,11 +151,11 @@ func TestCertificateRepeatable(t *testing.T) {
 		twin.AddEdge((v*7)%n, v, 1)
 	}
 	twin.AddEdge(0, n/2, 1)
-	got, err := kc.Certificate()
+	got, err := kc.CertificateOpts(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := twin.Certificate()
+	want, err := twin.CertificateOpts(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,7 +23,7 @@ func TestKConnectivityMarshalRoundTrip(t *testing.T) {
 	if err := st.Replay(func(u stream.Update) error { ref.AddUpdate(u); return nil }); err != nil {
 		t.Fatal(err)
 	}
-	want, err := ref.CertificateGraph()
+	want, err := ref.CertificateGraphOpts(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestKConnectivityMarshalRoundTrip(t *testing.T) {
 	if err := a.Merge(&shipped); err != nil {
 		t.Fatal(err)
 	}
-	got, err := a.CertificateGraph()
+	got, err := a.CertificateGraphOpts(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestBipartitenessMarshalRoundTrip(t *testing.T) {
 	if err := a.Merge(&shipped); err != nil {
 		t.Fatal(err)
 	}
-	bip, err := a.IsBipartite()
+	bip, err := a.IsBipartiteOpts(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestMSFMarshalRoundTrip(t *testing.T) {
 	if err := ms.Replay(func(u stream.Update) error { ref.AddUpdate(u); return nil }); err != nil {
 		t.Fatal(err)
 	}
-	want, err := ref.Forest()
+	want, err := ref.ForestOpts(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestMSFMarshalRoundTrip(t *testing.T) {
 	if err := a.Merge(&shipped); err != nil {
 		t.Fatal(err)
 	}
-	got, err := a.Forest()
+	got, err := a.ForestOpts(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,7 +22,7 @@ func TestAGMMarshalRoundTrip(t *testing.T) {
 	if err := back.UnmarshalBinary(enc); err != nil {
 		t.Fatal(err)
 	}
-	forest, err := back.SpanningForest(nil)
+	forest, err := back.SpanningForestOpts(nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestAGMMergeAcrossShards(t *testing.T) {
 	if err := a.Merge(&remote); err != nil {
 		t.Fatal(err)
 	}
-	forest, err := a.SpanningForest(nil)
+	forest, err := a.SpanningForestOpts(nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

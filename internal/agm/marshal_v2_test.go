@@ -73,8 +73,8 @@ func TestAGMMarshalV1BackCompat(t *testing.T) {
 	if err := fresh.Merge(&fromV1); err != nil {
 		t.Fatal(err)
 	}
-	forestA, errA := s.SpanningForest(nil)
-	forestB, errB := fresh.SpanningForest(nil)
+	forestA, errA := s.SpanningForestOpts(nil, nil)
+	forestB, errB := fresh.SpanningForestOpts(nil, nil)
 	if errA != nil || errB != nil {
 		t.Fatalf("forest decode: %v / %v", errA, errB)
 	}

@@ -113,22 +113,12 @@ func (m *MSF) Merge(o *MSF) error {
 	return nil
 }
 
-// Forest extracts the approximate MSF: edges tagged with the upper
-// bound of their weight class (so the returned total weight is within
-// (1+gamma) of exact, assuming the per-class forests succeed whp).
-func (m *MSF) Forest() ([]graph.Edge, error) {
-	return m.ForestOpts(parallel.Default())
-}
-
-// ForestParallel is Forest with each class prefix's Borůvka rounds
-// decoded by `workers` goroutines (see Sketch.SpanningForestParallel);
-// the classes themselves stay sequential (each contracts the previous)
-// and the forest is bit-identical to Forest.
-func (m *MSF) ForestParallel(workers int) ([]graph.Edge, error) {
-	return m.ForestOpts(parallel.Default().WithWorkers(workers))
-}
-
-// ForestOpts is the policy-driven form of Forest.
+// ForestOpts extracts the approximate MSF under the decode policy p
+// (nil runs serially): edges tagged with the upper bound of their
+// weight class, so the returned total weight is within (1+gamma) of
+// exact, assuming the per-class forests succeed whp. Each class
+// prefix's Borůvka rounds fan across the policy's workers; the classes
+// themselves stay sequential (each contracts the previous).
 func (m *MSF) ForestOpts(p *parallel.Policy) ([]graph.Edge, error) {
 	uf := graph.NewUnionFind(m.n)
 	var out []graph.Edge

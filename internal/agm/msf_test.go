@@ -35,7 +35,7 @@ func buildMSF(t *testing.T, g *graph.Graph, wmax, gamma float64, seed uint64) []
 	}); err != nil {
 		t.Fatal(err)
 	}
-	f, err := m.Forest()
+	f, err := m.ForestOpts(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestMSFUnderChurn(t *testing.T) {
 	if err := st.Replay(func(u stream.Update) error { m.AddUpdate(u); return nil }); err != nil {
 		t.Fatal(err)
 	}
-	f, err := m.Forest()
+	f, err := m.ForestOpts(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestMSFDisconnected(t *testing.T) {
 		m.AddUpdate(u)
 		return nil
 	})
-	f, err := m.Forest()
+	f, err := m.ForestOpts(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

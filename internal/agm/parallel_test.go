@@ -35,7 +35,7 @@ func TestForestShardedMatchesSerial(t *testing.T) {
 	if err := st.Replay(func(u stream.Update) error { serial.AddUpdate(u); return nil }); err != nil {
 		t.Fatal(err)
 	}
-	want, err := serial.SpanningForest(nil)
+	want, err := serial.SpanningForestOpts(nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestForestShardedMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		got, err := sk.SpanningForest(nil)
+		got, err := sk.SpanningForestOpts(nil, nil)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -58,7 +58,7 @@ func TestKConnectivityShardedMatchesSerial(t *testing.T) {
 	if err := st.Replay(func(u stream.Update) error { serial.AddUpdate(u); return nil }); err != nil {
 		t.Fatal(err)
 	}
-	want, err := serial.CertificateGraph()
+	want, err := serial.CertificateGraphOpts(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestKConnectivityShardedMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := kc.CertificateGraph()
+	got, err := kc.CertificateGraphOpts(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestBipartitenessShardedMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := b.IsBipartite()
+		got, err := b.IsBipartiteOpts(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,7 +118,7 @@ func TestMSFShardedMatchesSerial(t *testing.T) {
 	if err := st.Replay(func(u stream.Update) error { serial.AddUpdate(u); return nil }); err != nil {
 		t.Fatal(err)
 	}
-	want, err := serial.Forest()
+	want, err := serial.ForestOpts(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestMSFShardedMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := m.Forest()
+	got, err := m.ForestOpts(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

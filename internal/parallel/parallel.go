@@ -109,8 +109,12 @@ func (p *Policy) DecodeWorkers() int {
 // DecodePolicy returns the policy decode stages run under: same
 // context, batch size, and progress sink, with Workers() set to
 // DecodeWorkers(). Extraction code takes a plain Policy, so ingest
-// drivers call this once at the ingest/decode boundary.
+// drivers call this once at the ingest/decode boundary. A nil policy
+// decodes serially: its DecodePolicy is Default().
 func (p *Policy) DecodePolicy() *Policy {
+	if p == nil {
+		return Default()
+	}
 	cp := *p
 	cp.workers = p.DecodeWorkers()
 	cp.decode = 0
@@ -144,9 +148,15 @@ func (p *Policy) validate() error {
 	return nil
 }
 
-// Validate reports whether the policy is executable (workers >= 1).
-// Decode entry points call it before sizing per-worker scratch state.
-func (p *Policy) Validate() error { return p.validate() }
+// Validate reports whether the policy is executable (workers >= 1); a
+// nil policy is (it means serial). Decode entry points call it before
+// sizing per-worker scratch state.
+func (p *Policy) Validate() error {
+	if p == nil {
+		return nil
+	}
+	return p.validate()
+}
 
 // Replay drives one serial batched pass over src under the policy:
 // updates are delivered to fn in slices of at most the policy's batch

@@ -7,14 +7,12 @@ import (
 	"strings"
 
 	"dynstream"
-	"dynstream/internal/graph"
 )
 
-// Backend is one live target behind the daemon, erased to a non-generic
-// interface so the server can hold a heterogeneous set (the handles are
-// generic in their result type). Apply and Query inherit the handle's
-// mutex discipline: a query is always a consistent batch-boundary
-// snapshot, labeled with the exact applied-update count it observed.
+// Backend is one live target behind the daemon. Apply and Query inherit
+// the handle's mutex discipline: a query is decoded under the handle's
+// lock into a consistent batch-boundary snapshot, labeled with the
+// exact applied-update count it observed.
 type Backend interface {
 	Target() string
 	N() int
@@ -46,30 +44,49 @@ type Spec struct {
 // Targets lists the recognized Spec.Target names.
 var Targets = []string{"additive", "bipartite", "forest", "kcert", "msf", "spanner", "sparsify"}
 
-// backend adapts one Handle[R] plus a render function to the Backend
-// interface.
-type backend[R any] struct {
+// backend adapts one Handle to the Backend interface.
+type backend struct {
 	target string
-	h      *dynstream.Handle[R]
-	render func(R, int64) (*QueryResponse, error)
+	h      *dynstream.Handle
 }
 
-func (b *backend[R]) Target() string                         { return b.target }
-func (b *backend[R]) N() int                                 { return b.h.N() }
-func (b *backend[R]) Apply(updates []dynstream.Update) error { return b.h.Apply(updates) }
-func (b *backend[R]) Applied() int64                         { return b.h.AppliedUpdates() }
-func (b *backend[R]) CacheStats() dynstream.CacheStats       { return b.h.DecodeCacheStats() }
+func (b *backend) Target() string                         { return b.target }
+func (b *backend) N() int                                 { return b.h.N() }
+func (b *backend) Apply(updates []dynstream.Update) error { return b.h.Apply(updates) }
+func (b *backend) Applied() int64                         { return b.h.AppliedUpdates() }
+func (b *backend) CacheStats() dynstream.CacheStats       { return b.h.DecodeCacheStats() }
+func (b *backend) CheckpointTo(path string) error         { return dynstream.CheckpointFile(b.h, path) }
 
-func (b *backend[R]) Query(ctx context.Context) (*QueryResponse, error) {
-	res, applied, err := b.h.QueryAt(ctx)
+func (b *backend) Query(ctx context.Context) (*QueryResponse, error) {
+	a, err := b.h.Query(ctx)
 	if err != nil {
 		return nil, err
 	}
-	return b.render(res, applied)
+	return Render(b.target, a), nil
 }
 
-func (b *backend[R]) CheckpointTo(path string) error {
-	return dynstream.CheckpointFile(b.h, path)
+// Render maps a decoded Answer of the named target to its /v1/query
+// body: the result graph's edges in its own order (forest adds its
+// component count and connectivity), or the bipartiteness verdict. The
+// daemon's queries and every offline comparison against them go
+// through it, so the two cannot render differently.
+func Render(target string, a *dynstream.Answer) *QueryResponse {
+	r := &QueryResponse{Target: target, Applied: a.Applied, Summary: a.Summary}
+	if a.Graph == nil {
+		bip := a.Bipartite
+		r.Bipartite = &bip
+		return r
+	}
+	edges := a.Graph.Edges()
+	r.Edges = make([]EdgeJSON, len(edges))
+	for i, e := range edges {
+		r.Edges[i] = EdgeJSON{U: e.U, V: e.V, W: e.W}
+	}
+	if a.Components > 0 {
+		conn := a.Components == 1
+		r.Connected, r.Components = &conn, a.Components
+	}
+	return r
 }
 
 // openBackend opens (or restores) one target's handle over an empty
@@ -80,8 +97,7 @@ func (b *backend[R]) CheckpointTo(path string) error {
 // is reported in note. The daemon replays nothing itself: the feed that
 // produced the checkpointed updates is expected to resume past
 // AppliedUpdates, or queries simply reflect the restored prefix.
-func openBackend[R any](ctx context.Context, spec Spec, target dynstream.Target[R], ckptPath string,
-	render func(R, int64) (*QueryResponse, error)) (Backend, int64, string, error) {
+func openBackend[R any](ctx context.Context, spec Spec, target dynstream.Target[R], ckptPath string) (Backend, int64, string, error) {
 	base := dynstream.NewMemoryStream(spec.N)
 	opts := []dynstream.Option{dynstream.WithBatchSize(spec.Batch)}
 	if spec.Workers > 0 {
@@ -100,7 +116,7 @@ func openBackend[R any](ctx context.Context, spec Spec, target dynstream.Target[
 			h, rerr := dynstream.Restore(ctx, f, base, target, opts...)
 			f.Close()
 			if rerr == nil {
-				return &backend[R]{target: spec.Target, h: h, render: render}, h.AppliedUpdates(), "", nil
+				return &backend{target: spec.Target, h: h}, h.AppliedUpdates(), "", nil
 			}
 			note = fmt.Sprintf("checkpoint %s not restored (%v); starting fresh", ckptPath, rerr)
 		} else if !os.IsNotExist(err) {
@@ -111,18 +127,7 @@ func openBackend[R any](ctx context.Context, spec Spec, target dynstream.Target[
 	if err != nil {
 		return nil, 0, note, err
 	}
-	return &backend[R]{target: spec.Target, h: h, render: render}, -1, note, nil
-}
-
-// edgesJSON converts a result graph to wire edges in the graph's own
-// deterministic edge order.
-func edgesJSON(g *graph.Graph) []EdgeJSON {
-	edges := g.Edges()
-	out := make([]EdgeJSON, len(edges))
-	for i, e := range edges {
-		out[i] = EdgeJSON{U: e.U, V: e.V, W: e.W}
-	}
-	return out
+	return &backend{target: spec.Target, h: h}, -1, note, nil
 }
 
 // OpenBackend opens (or restores, when ckptPath names a valid snapshot)
@@ -131,115 +136,23 @@ func edgesJSON(g *graph.Graph) []EdgeJSON {
 func OpenBackend(ctx context.Context, spec Spec, ckptPath string) (b Backend, restored int64, note string, err error) {
 	switch spec.Target {
 	case "forest":
-		return openBackend(ctx, spec, dynstream.ForestTarget{Seed: spec.Seed}, ckptPath,
-			func(sk *dynstream.ForestSketch, applied int64) (*QueryResponse, error) {
-				forest, err := sk.SpanningForestParallel(nil, spec.decodeWorkers())
-				if err != nil {
-					return nil, err
-				}
-				g := graph.New(spec.N)
-				for _, e := range forest {
-					g.AddUnitEdge(e.U, e.V)
-				}
-				comps := spec.N - len(forest)
-				conn := comps == 1
-				return &QueryResponse{
-					Target: spec.Target, Applied: applied, Edges: edgesJSON(g),
-					Connected: &conn, Components: comps,
-					Summary: fmt.Sprintf("spanning forest: %d edges, %d components", len(forest), comps),
-				}, nil
-			})
-
+		return openBackend(ctx, spec, dynstream.ForestTarget{Seed: spec.Seed}, ckptPath)
 	case "kcert":
-		return openBackend(ctx, spec, dynstream.KConnectivityTarget{Seed: spec.Seed, K: spec.K}, ckptPath,
-			func(kc *dynstream.KConnectivity, applied int64) (*QueryResponse, error) {
-				cert, err := kc.CertificateGraphParallel(spec.decodeWorkers())
-				if err != nil {
-					return nil, err
-				}
-				return &QueryResponse{
-					Target: spec.Target, Applied: applied, Edges: edgesJSON(cert),
-					Summary: fmt.Sprintf("%d-connectivity certificate: %d edges", spec.K, cert.M()),
-				}, nil
-			})
-
+		return openBackend(ctx, spec, dynstream.KConnectivityTarget{Seed: spec.Seed, K: spec.K}, ckptPath)
 	case "bipartite":
-		return openBackend(ctx, spec, dynstream.BipartitenessTarget{Seed: spec.Seed}, ckptPath,
-			func(b *dynstream.Bipartiteness, applied int64) (*QueryResponse, error) {
-				bip, err := b.IsBipartiteParallel(spec.decodeWorkers())
-				if err != nil {
-					return nil, err
-				}
-				return &QueryResponse{
-					Target: spec.Target, Applied: applied, Bipartite: &bip,
-					Summary: fmt.Sprintf("bipartite: %v", bip),
-				}, nil
-			})
-
+		return openBackend(ctx, spec, dynstream.BipartitenessTarget{Seed: spec.Seed}, ckptPath)
 	case "msf":
-		return openBackend(ctx, spec, dynstream.MSFTarget{Seed: spec.Seed, WMax: spec.WMax, Gamma: spec.gamma()}, ckptPath,
-			func(m *dynstream.MSF, applied int64) (*QueryResponse, error) {
-				forest, err := m.ForestParallel(spec.decodeWorkers())
-				if err != nil {
-					return nil, err
-				}
-				g := graph.New(spec.N)
-				for _, e := range forest {
-					g.AddEdge(e.U, e.V, e.W)
-				}
-				return &QueryResponse{
-					Target: spec.Target, Applied: applied, Edges: edgesJSON(g),
-					Summary: fmt.Sprintf("approximate MSF: %d edges", len(forest)),
-				}, nil
-			})
-
+		return openBackend(ctx, spec, dynstream.MSFTarget{Seed: spec.Seed, WMax: spec.WMax, Gamma: spec.gamma()}, ckptPath)
 	case "spanner":
-		return openBackend(ctx, spec,
-			dynstream.SpannerTarget{Config: dynstream.SpannerConfig{K: spec.K, Seed: spec.Seed}}, ckptPath,
-			func(res *dynstream.SpannerResult, applied int64) (*QueryResponse, error) {
-				return &QueryResponse{
-					Target: spec.Target, Applied: applied, Edges: edgesJSON(res.Spanner),
-					Summary: fmt.Sprintf("2^%d-spanner: %d edges", spec.K, res.Spanner.M()),
-				}, nil
-			})
-
+		return openBackend(ctx, spec, dynstream.SpannerTarget{Config: dynstream.SpannerConfig{K: spec.K, Seed: spec.Seed}}, ckptPath)
 	case "additive":
-		return openBackend(ctx, spec,
-			dynstream.AdditiveTarget{Config: dynstream.AdditiveConfig{D: spec.D, Seed: spec.Seed}}, ckptPath,
-			func(res *dynstream.AdditiveResult, applied int64) (*QueryResponse, error) {
-				return &QueryResponse{
-					Target: spec.Target, Applied: applied, Edges: edgesJSON(res.Spanner),
-					Summary: fmt.Sprintf("n/%d-additive spanner: %d edges", spec.D, res.Spanner.M()),
-				}, nil
-			})
-
+		return openBackend(ctx, spec, dynstream.AdditiveTarget{Config: dynstream.AdditiveConfig{D: spec.D, Seed: spec.Seed}}, ckptPath)
 	case "sparsify":
 		return openBackend(ctx, spec,
-			dynstream.SparsifierTarget{Config: dynstream.SparsifierConfig{K: spec.K, Z: spec.Z, Seed: spec.Seed}}, ckptPath,
-			func(res *dynstream.SparsifierResult, applied int64) (*QueryResponse, error) {
-				return &QueryResponse{
-					Target: spec.Target, Applied: applied, Edges: edgesJSON(res.Sparsifier),
-					Summary: fmt.Sprintf("sparsifier: %d edges from %d samples", res.Sparsifier.M(), res.Samples),
-				}, nil
-			})
-
+			dynstream.SparsifierTarget{Config: dynstream.SparsifierConfig{K: spec.K, Z: spec.Z, Seed: spec.Seed}}, ckptPath)
 	default:
 		return nil, 0, "", fmt.Errorf("unknown target %q (want one of %s)", spec.Target, strings.Join(Targets, "|"))
 	}
-}
-
-// decodeWorkers resolves the decode worker count for the render-side
-// decode methods (SpanningForestParallel etc.), mirroring the CLI's
-// -decodeworkers semantics: 0 follows Workers, floor 1.
-func (s Spec) decodeWorkers() int {
-	dw := s.DecodeWorkers
-	if dw == 0 {
-		dw = s.Workers
-	}
-	if dw < 1 {
-		dw = 1
-	}
-	return dw
 }
 
 // gamma resolves the MSF approximation parameter (default 0.5, the

@@ -16,7 +16,6 @@ import (
 	"testing"
 
 	"dynstream"
-	"dynstream/internal/graph"
 )
 
 // testLog builds a deterministic insert/delete stream on n vertices —
@@ -55,9 +54,24 @@ func testLog(n, m int, seed uint64) []dynstream.Update {
 	return log[:m]
 }
 
-// offlineForest builds the forest target offline over log[:upto] and
-// returns its edge list in the render's deterministic order.
-func offlineForest(t *testing.T, n int, log []dynstream.Update, upto int64, seed uint64) []EdgeJSON {
+// offlineAnswer is a served target's offline reference: Decode of a
+// cold Build over a stream — what a correct query at the same prefix
+// must render to.
+type offlineAnswer func(ms *dynstream.MemoryStream) (*dynstream.Answer, error)
+
+func buildDecode[R any](target dynstream.Target[R]) offlineAnswer {
+	return func(ms *dynstream.MemoryStream) (*dynstream.Answer, error) {
+		res, err := dynstream.Build(context.Background(), ms, target)
+		if err != nil {
+			return nil, err
+		}
+		return dynstream.Decode(context.Background(), target, res)
+	}
+}
+
+// offlineResponse renders target's offline answer over log[:upto] as
+// the /v1/query body a query observing exactly upto updates must equal.
+func offlineResponse(t *testing.T, target string, offline offlineAnswer, n int, log []dynstream.Update, upto int64) *QueryResponse {
 	t.Helper()
 	ms := dynstream.NewMemoryStream(n)
 	for _, u := range log[:upto] {
@@ -65,21 +79,19 @@ func offlineForest(t *testing.T, n int, log []dynstream.Update, upto int64, seed
 			t.Fatal(err)
 		}
 	}
-	sk, err := dynstream.Build(context.Background(), ms, dynstream.ForestTarget{Seed: seed})
+	a, err := offline(ms)
 	if err != nil {
 		t.Fatal(err)
 	}
-	forest, err := sk.SpanningForestParallel(nil, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Mirror the backend's render exactly: unit edges through a Graph,
-	// emitted in the graph's own deterministic edge order.
-	g := graph.New(n)
-	for _, e := range forest {
-		g.AddUnitEdge(e.U, e.V)
-	}
-	return edgesJSON(g)
+	a.Applied = upto
+	return Render(target, a)
+}
+
+// offlineForest is the forest's offline reference edge list over
+// log[:upto].
+func offlineForest(t *testing.T, n int, log []dynstream.Update, upto int64, seed uint64) []EdgeJSON {
+	t.Helper()
+	return offlineResponse(t, "forest", buildDecode(dynstream.ForestTarget{Seed: seed}), n, log, upto).Edges
 }
 
 func newForestServer(t *testing.T, n int, seed uint64, cfg ServerConfig) (*Server, *httptest.Server) {
@@ -163,8 +175,10 @@ func TestParseLine(t *testing.T) {
 // TestConcurrentIngestQuery is the protocol's consistency proof: HTTP
 // queries racing a continuous ingest stream must each return a
 // batch-boundary snapshot — an applied count that is a multiple of the
-// batch size, with edges bit-identical to an offline Build over exactly
-// that stream prefix. Run under -race this also proves the server
+// batch size, with a body bit-identical to Decode of an offline Build
+// over exactly that stream prefix. It runs for every sketch target,
+// whose decode is the part of a query that reads mutable state. Run
+// under -race (and with GOMAXPROCS >= 2) this also proves the server
 // needs no locking beyond the handle's own mutex.
 func TestConcurrentIngestQuery(t *testing.T) {
 	const (
@@ -173,80 +187,100 @@ func TestConcurrentIngestQuery(t *testing.T) {
 		batch = 50
 		seed  = 7
 	)
-	log := testLog(n, m, 0x9e3779b9)
-	s, ts := newForestServer(t, n, seed, ServerConfig{})
-
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < m; i += batch {
-			if err := s.ApplyBatch(log[i : i+batch]); err != nil {
-				t.Errorf("ApplyBatch: %v", err)
-				return
+	for _, tc := range []struct {
+		spec    Spec
+		offline offlineAnswer
+	}{
+		{Spec{Target: "forest", N: n, Seed: seed}, buildDecode(dynstream.ForestTarget{Seed: seed})},
+		{Spec{Target: "kcert", N: n, Seed: seed, K: 2}, buildDecode(dynstream.KConnectivityTarget{Seed: seed, K: 2})},
+		{Spec{Target: "bipartite", N: n, Seed: seed}, buildDecode(dynstream.BipartitenessTarget{Seed: seed})},
+		{Spec{Target: "msf", N: n, Seed: seed, WMax: 1}, buildDecode(dynstream.MSFTarget{Seed: seed, WMax: 1, Gamma: 0.5})},
+	} {
+		t.Run(tc.spec.Target, func(t *testing.T) {
+			log := testLog(n, m, 0x9e3779b9)
+			b, _, _, err := OpenBackend(context.Background(), tc.spec, "")
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-	}()
-
-	// Concurrent queriers: collect (applied, edges) snapshots.
-	type snap struct {
-		applied int64
-		edges   []EdgeJSON
-	}
-	var mu sync.Mutex
-	var snaps []snap
-	for q := 0; q < 3; q++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 10; i++ {
-				resp, err := http.Get(ts.URL + "/v1/query")
-				if err != nil {
-					t.Errorf("query: %v", err)
-					return
-				}
-				var qr QueryResponse
-				if err := json.NewDecoder(resp.Body).Decode(&qr); err != nil {
-					t.Errorf("decode: %v", err)
-					resp.Body.Close()
-					return
-				}
-				resp.Body.Close()
-				if resp.StatusCode != http.StatusOK {
-					t.Errorf("query status %d", resp.StatusCode)
-					return
-				}
-				mu.Lock()
-				snaps = append(snaps, snap{applied: qr.Applied, edges: qr.Edges})
-				mu.Unlock()
+			s, err := NewServer([]Backend{b}, ServerConfig{})
+			if err != nil {
+				t.Fatal(err)
 			}
-		}()
-	}
-	wg.Wait()
+			ts := httptest.NewServer(s.Handler())
+			defer ts.Close()
 
-	seen := map[int64]bool{}
-	for _, sn := range snaps {
-		if sn.applied%batch != 0 {
-			t.Fatalf("query observed applied=%d, not a batch boundary (batch=%d)", sn.applied, batch)
-		}
-		if seen[sn.applied] {
-			continue
-		}
-		seen[sn.applied] = true
-		want := offlineForest(t, n, log, sn.applied, seed)
-		if len(sn.edges) == 0 {
-			sn.edges = []EdgeJSON{}
-		}
-		if len(want) == 0 {
-			want = []EdgeJSON{}
-		}
-		if !reflect.DeepEqual(sn.edges, want) {
-			t.Fatalf("query at applied=%d diverges from offline build:\n got %v\nwant %v",
-				sn.applied, sn.edges, want)
-		}
-	}
-	if len(seen) == 0 {
-		t.Fatal("no query snapshots collected")
+			var wg sync.WaitGroup
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < m; i += batch {
+					if err := s.ApplyBatch(log[i : i+batch]); err != nil {
+						t.Errorf("ApplyBatch: %v", err)
+						return
+					}
+				}
+			}()
+
+			// Concurrent queriers collect the bodies they were served.
+			var mu sync.Mutex
+			var snaps []QueryResponse
+			for q := 0; q < 3; q++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := 0; i < 10; i++ {
+						resp, err := http.Get(ts.URL + "/v1/query")
+						if err != nil {
+							t.Errorf("query: %v", err)
+							return
+						}
+						var qr QueryResponse
+						if err := json.NewDecoder(resp.Body).Decode(&qr); err != nil {
+							t.Errorf("decode: %v", err)
+							resp.Body.Close()
+							return
+						}
+						resp.Body.Close()
+						if resp.StatusCode != http.StatusOK {
+							t.Errorf("query status %d", resp.StatusCode)
+							return
+						}
+						mu.Lock()
+						snaps = append(snaps, qr)
+						mu.Unlock()
+					}
+				}()
+			}
+			wg.Wait()
+
+			seen := map[int64]bool{}
+			for _, sn := range snaps {
+				if sn.Applied%batch != 0 {
+					t.Fatalf("query observed applied=%d, not a batch boundary (batch=%d)", sn.Applied, batch)
+				}
+				if seen[sn.Applied] {
+					continue
+				}
+				seen[sn.Applied] = true
+				want := offlineResponse(t, tc.spec.Target, tc.offline, n, log, sn.Applied)
+				if len(sn.Edges) == 0 {
+					sn.Edges = []EdgeJSON{}
+				}
+				if len(want.Edges) == 0 {
+					want.Edges = []EdgeJSON{}
+				}
+				if !reflect.DeepEqual(sn.Edges, want.Edges) {
+					t.Fatalf("query at applied=%d diverges from offline build:\n got %v\nwant %v",
+						sn.Applied, sn.Edges, want.Edges)
+				}
+				if !reflect.DeepEqual(sn, *want) {
+					t.Fatalf("query at applied=%d diverges from offline build:\n got %+v\nwant %+v", sn.Applied, sn, *want)
+				}
+			}
+			if len(seen) == 0 {
+				t.Fatal("no query snapshots collected")
+			}
+		})
 	}
 }
 

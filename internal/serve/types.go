@@ -36,12 +36,12 @@ type EdgeJSON struct {
 	W float64 `json:"w"`
 }
 
-// QueryResponse is the body of GET /v1/query: the target's freshly
-// extracted result as of exactly Applied updates. Result and count are
-// read under one hold of the handle's mutex (Handle.QueryAt), so the
-// pair is a consistent batch-boundary snapshot — an offline Build over
-// the first Applied updates of the same stream reproduces Edges bit for
-// bit.
+// QueryResponse is the body of GET /v1/query: the target's Answer as
+// of exactly Applied updates, rendered by Render. The decode and the
+// count happen under one hold of the handle's mutex (Handle.Query), so
+// the pair is a consistent batch-boundary snapshot — Decode of an
+// offline Build over the first Applied updates of the same stream
+// renders to the same body bit for bit.
 type QueryResponse struct {
 	Target     string     `json:"target"`
 	Applied    int64      `json:"applied"`

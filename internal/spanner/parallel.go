@@ -184,18 +184,6 @@ func BuildTwoPassWeightedWith(src stream.Source, cfg Config, classBase float64, 
 	return out, nil
 }
 
-// BuildTwoPassParallel is BuildTwoPass with both stream passes ingested
-// by `workers` goroutines over round-robin shards of st. The output is
-// identical to BuildTwoPass with the same configuration: the merged
-// sketch states equal the single-threaded states exactly, and every
-// downstream decode is deterministic.
-func BuildTwoPassParallel(st stream.Stream, cfg Config, workers int) (*Result, error) {
-	if workers == 1 {
-		return BuildTwoPass(st, cfg)
-	}
-	return BuildTwoPassOpts(st, cfg, parallel.Default().WithWorkers(workers))
-}
-
 // Merge adds the sketch state of another Additive built with the same
 // configuration; the receiver afterwards sketches the union of the two
 // ingested streams. Neither state may be finished.
@@ -239,14 +227,4 @@ func BuildAdditiveOpts(src stream.Source, cfg AdditiveConfig, p *parallel.Policy
 		return nil, fmt.Errorf("spanner: additive pass: %w", err)
 	}
 	return main.FinishOpts(p)
-}
-
-// BuildAdditiveParallel is BuildAdditive with the single pass ingested
-// by `workers` goroutines over round-robin shards of st; the merged
-// state — and therefore the output — is identical to BuildAdditive.
-func BuildAdditiveParallel(st stream.Stream, cfg AdditiveConfig, workers int) (*AdditiveResult, error) {
-	if workers == 1 {
-		return BuildAdditive(st, cfg)
-	}
-	return BuildAdditiveOpts(st, cfg, parallel.Default().WithWorkers(workers))
 }

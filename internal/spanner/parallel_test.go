@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"dynstream/internal/graph"
+	"dynstream/internal/parallel"
 	"dynstream/internal/stream"
 )
 
@@ -44,7 +45,7 @@ func TestTwoPassParallelMatchesSerial(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, workers := range []int{2, 3, 4, 8} {
-				par, err := BuildTwoPassParallel(tc.st, cfg, workers)
+				par, err := BuildTwoPassOpts(tc.st, cfg, parallel.Default().WithWorkers(workers))
 				if err != nil {
 					t.Fatalf("workers=%d: %v", workers, err)
 				}
@@ -67,7 +68,7 @@ func TestTwoPassParallelAugmented(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := BuildTwoPassParallel(st, cfg, 4)
+	par, err := BuildTwoPassOpts(st, cfg, parallel.Default().WithWorkers(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +92,7 @@ func TestAdditiveParallelMatchesSerial(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, workers := range []int{2, 4, 8} {
-				par, err := BuildAdditiveParallel(tc.st, tc.cfg, workers)
+				par, err := BuildAdditiveOpts(tc.st, tc.cfg, parallel.Default().WithWorkers(workers))
 				if err != nil {
 					t.Fatalf("workers=%d: %v", workers, err)
 				}
@@ -107,11 +108,11 @@ func TestAdditiveParallelMatchesSerial(t *testing.T) {
 
 func TestParallelRejectsBadWorkers(t *testing.T) {
 	st := stream.FromGraph(graph.ConnectedGNP(10, 0.4, 51), 52)
-	if _, err := BuildTwoPassParallel(st, Config{K: 2, Seed: 1}, 0); err == nil {
-		t.Error("BuildTwoPassParallel accepted workers=0")
+	if _, err := BuildTwoPassOpts(st, Config{K: 2, Seed: 1}, parallel.Default().WithWorkers(0)); err == nil {
+		t.Error("BuildTwoPassOpts accepted workers=0")
 	}
-	if _, err := BuildAdditiveParallel(st, AdditiveConfig{D: 2, Seed: 1}, -1); err == nil {
-		t.Error("BuildAdditiveParallel accepted workers=-1")
+	if _, err := BuildAdditiveOpts(st, AdditiveConfig{D: 2, Seed: 1}, parallel.Default().WithWorkers(-1)); err == nil {
+		t.Error("BuildAdditiveOpts accepted workers=-1")
 	}
 }
 

@@ -6,39 +6,8 @@ import (
 
 	"dynstream/internal/graph"
 	"dynstream/internal/stream"
+	"dynstream/internal/verify"
 )
-
-// maxStretch returns the maximum over sampled vertex pairs of
-// d_H(u,v)/d_G(u,v) for unweighted graphs, verifying d_H >= d_G too.
-func maxStretch(t *testing.T, g, h *graph.Graph, sources int) float64 {
-	t.Helper()
-	worst := 1.0
-	n := g.N()
-	step := 1
-	if sources > 0 && n > sources {
-		step = n / sources
-	}
-	for src := 0; src < n; src += step {
-		dg := g.BFS(src)
-		dh := h.BFS(src)
-		for v := 0; v < n; v++ {
-			if dg[v] <= 0 {
-				continue
-			}
-			if dh[v] == -1 {
-				t.Fatalf("spanner disconnects %d from %d", src, v)
-			}
-			if dh[v] < dg[v] {
-				t.Fatalf("spanner shortcut: d_H(%d,%d)=%d < d_G=%d", src, v, dh[v], dg[v])
-			}
-			s := float64(dh[v]) / float64(dg[v])
-			if s > worst {
-				worst = s
-			}
-		}
-	}
-	return worst
-}
 
 func buildFromGraph(t *testing.T, g *graph.Graph, cfg Config) *Result {
 	t.Helper()
@@ -61,24 +30,24 @@ func TestTwoPassSubgraph(t *testing.T) {
 func TestTwoPassStretchK2(t *testing.T) {
 	g := graph.ConnectedGNP(60, 0.15, 3)
 	res := buildFromGraph(t, g, Config{K: 2, Seed: 4})
-	if s := maxStretch(t, g, res.Spanner, 20); s > 4 {
-		t.Errorf("stretch %v exceeds 2^2 = 4", s)
+	if rep := verify.Stretch(g, res.Spanner, 20); rep.Disconnected != 0 || rep.Shortcuts != 0 || rep.MaxStretch > 4 {
+		t.Errorf("stretch %v (report %+v) exceeds 2^2 = 4", rep.MaxStretch, rep)
 	}
 }
 
 func TestTwoPassStretchK3(t *testing.T) {
 	g := graph.ConnectedGNP(80, 0.12, 5)
 	res := buildFromGraph(t, g, Config{K: 3, Seed: 6})
-	if s := maxStretch(t, g, res.Spanner, 16); s > 8 {
-		t.Errorf("stretch %v exceeds 2^3 = 8", s)
+	if rep := verify.Stretch(g, res.Spanner, 16); rep.Disconnected != 0 || rep.Shortcuts != 0 || rep.MaxStretch > 8 {
+		t.Errorf("stretch %v (report %+v) exceeds 2^3 = 8", rep.MaxStretch, rep)
 	}
 }
 
 func TestTwoPassK1IsTwoSpanner(t *testing.T) {
 	g := graph.ConnectedGNP(40, 0.2, 7)
 	res := buildFromGraph(t, g, Config{K: 1, Seed: 8})
-	if s := maxStretch(t, g, res.Spanner, 40); s > 2 {
-		t.Errorf("stretch %v exceeds 2^1 = 2", s)
+	if rep := verify.Stretch(g, res.Spanner, 40); rep.Disconnected != 0 || rep.Shortcuts != 0 || rep.MaxStretch > 2 {
+		t.Errorf("stretch %v (report %+v) exceeds 2^1 = 2", rep.MaxStretch, rep)
 	}
 }
 
@@ -95,8 +64,8 @@ func TestTwoPassPathPreserved(t *testing.T) {
 func TestTwoPassGrid(t *testing.T) {
 	g := graph.Grid(8, 8)
 	res := buildFromGraph(t, g, Config{K: 2, Seed: 10})
-	if s := maxStretch(t, g, res.Spanner, 16); s > 4 {
-		t.Errorf("grid stretch %v exceeds 4", s)
+	if rep := verify.Stretch(g, res.Spanner, 16); rep.Disconnected != 0 || rep.Shortcuts != 0 || rep.MaxStretch > 4 {
+		t.Errorf("grid stretch %v (report %+v) exceeds 4", rep.MaxStretch, rep)
 	}
 }
 
@@ -112,8 +81,8 @@ func TestTwoPassDeletionStream(t *testing.T) {
 	if !res.Spanner.IsSubgraphOf(g) {
 		t.Fatal("churn stream leaked deleted edges into spanner")
 	}
-	if s := maxStretch(t, g, res.Spanner, 10); s > 4 {
-		t.Errorf("stretch %v exceeds 4 under churn", s)
+	if rep := verify.Stretch(g, res.Spanner, 10); rep.Disconnected != 0 || rep.Shortcuts != 0 || rep.MaxStretch > 4 {
+		t.Errorf("stretch %v (report %+v) exceeds 4 under churn", rep.MaxStretch, rep)
 	}
 }
 
@@ -167,8 +136,8 @@ func TestTwoPassCompleteGraphSparsifies(t *testing.T) {
 	if res.Spanner.M() >= g.M()/2 {
 		t.Errorf("spanner kept %d of %d edges — no compression", res.Spanner.M(), g.M())
 	}
-	if s := maxStretch(t, g, res.Spanner, 16); s > 8 {
-		t.Errorf("stretch %v", s)
+	if rep := verify.Stretch(g, res.Spanner, 16); rep.Disconnected != 0 || rep.Shortcuts != 0 || rep.MaxStretch > 8 {
+		t.Errorf("stretch %v (report %+v)", rep.MaxStretch, rep)
 	}
 }
 

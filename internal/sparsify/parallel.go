@@ -19,7 +19,7 @@ import (
 //     subsampled edge set, and the whole grid is a linear function of
 //     the update stream — so per-shard grids merge into exactly the
 //     single-threaded grid (the "oracle-grid state" merge).
-//   - SparsifyParallel / NewEstimatorParallel drive the grid's two
+//   - SparsifyOpts / NewEstimatorOpts drive the grid's two
 //     passes over round-robin stream shards with a worker per shard,
 //     and fan the Z×H augmented-spanner builds of Algorithms 5–6 out
 //     over a bounded worker pool. Every decode happens on the merged
@@ -41,7 +41,7 @@ type Grid struct {
 // NewGrid creates the oracle-grid sketch state for a graph on n
 // vertices. Grids built from the same (n, cfg) are mergeable.
 // ExactOracles is not a sketch and has no grid state; use
-// NewEstimatorParallel, which task-parallelizes that ablation instead.
+// NewEstimatorOpts, which task-parallelizes that ablation instead.
 func NewGrid(n int, cfg EstimateConfig) (*Grid, error) {
 	cfg = cfg.withDefaults(n)
 	if cfg.ExactOracles {
@@ -313,20 +313,6 @@ func NewEstimatorOpts(src stream.Source, cfg EstimateConfig, p *parallel.Policy)
 	return main.FinishOpts(p)
 }
 
-// NewEstimatorParallel is NewEstimator with concurrent ingestion: the
-// stream is split into `workers` round-robin shards, each worker runs
-// both grid passes over its own shard state, and the merged grid is
-// decoded once — producing an Estimator identical to the serial one.
-func NewEstimatorParallel(st stream.Stream, cfg EstimateConfig, workers int) (*Estimator, error) {
-	if workers < 1 {
-		return nil, fmt.Errorf("sparsify: workers must be >= 1, got %d", workers)
-	}
-	if workers == 1 {
-		return NewEstimator(st, cfg)
-	}
-	return NewEstimatorOpts(st, cfg, parallel.Default().WithWorkers(workers))
-}
-
 // newExactEstimatorOpts builds the A3 ablation grid (materialized
 // exact oracles) cell-by-cell on the policy's worker pool. Each cell
 // replays the source, so a single-cursor source degrades the pool to
@@ -521,18 +507,4 @@ func SparsifyWeightedWith(src stream.Source, cfg Config, classBase float64, buil
 		total.Samples += res.Samples
 	}
 	return total, nil
-}
-
-// SparsifyParallel is Sparsify with concurrent ingestion: the oracle
-// grid is built from sharded stream ingest, and the Z×H augmented
-// spanner constructions run on a bounded worker pool. The output is
-// identical to Sparsify's for the same configuration.
-func SparsifyParallel(st stream.Stream, cfg Config, workers int) (*Result, error) {
-	if workers < 1 {
-		return nil, fmt.Errorf("sparsify: workers must be >= 1, got %d", workers)
-	}
-	if workers == 1 {
-		return Sparsify(st, cfg)
-	}
-	return SparsifyOpts(st, cfg, parallel.Default().WithWorkers(workers))
 }

@@ -193,6 +193,22 @@ func WithWorkerShards() Option {
 	return func(o *buildOptions) { o.workerShards = true }
 }
 
+// resolveOptions applies opts (nil entries are skipped) and runs the
+// validate gate — the shared prologue of Build, Open, Restore and
+// Decode.
+func resolveOptions(opts []Option) (*buildOptions, error) {
+	o := &buildOptions{}
+	for _, opt := range opts {
+		if opt != nil {
+			opt(o)
+		}
+	}
+	if err := o.validate(); err != nil {
+		return nil, err
+	}
+	return o, nil
+}
+
 // validate is the single options gate every Build runs: it returns
 // typed errors (ErrBadWorkers, ErrBadConfig) so callers never
 // duplicate flag checks.

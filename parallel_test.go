@@ -81,7 +81,7 @@ func TestForestSketchParallelFacade(t *testing.T) {
 	if err := st.Replay(func(u Update) error { serial.AddUpdate(u); return nil }); err != nil {
 		t.Fatal(err)
 	}
-	wantForest, err := serial.SpanningForest(nil)
+	wantForest, err := serial.SpanningForestOpts(nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestForestSketchParallelFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotForest, err := par.SpanningForest(nil)
+	gotForest, err := par.SpanningForestOpts(nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestForestSketchMergeFacade(t *testing.T) {
 	if err := a.Merge(b); err != nil {
 		t.Fatal(err)
 	}
-	forest, err := a.SpanningForest(nil)
+	forest, err := a.SpanningForestOpts(nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestKConnectivityParallelFacade(t *testing.T) {
 	if err := st.Replay(func(u Update) error { serial.AddUpdate(u); return nil }); err != nil {
 		t.Fatal(err)
 	}
-	want, err := serial.CertificateGraph()
+	want, err := serial.CertificateGraphOpts(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestKConnectivityParallelFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := kc.CertificateGraph()
+	got, err := kc.CertificateGraphOpts(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -46,7 +46,7 @@ func TestSketchViewsWirePipeline(t *testing.T) {
 	t.Run("forest", func(t *testing.T) {
 		ref := NewForestSketch(1003, st.N(), ForestConfig{})
 		ingest(t, ForestSketchView(ref), st)
-		want, err := ref.SpanningForest(nil)
+		want, err := ref.SpanningForestOpts(nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -54,7 +54,7 @@ func TestSketchViewsWirePipeline(t *testing.T) {
 		b := NewForestSketch(1003, st.N(), ForestConfig{})
 		fresh := NewForestSketch(1003, st.N(), ForestConfig{})
 		shipMerge(t, ForestSketchView(a), ForestSketchView(b), ForestSketchView(fresh))
-		got, err := a.SpanningForest(nil)
+		got, err := a.SpanningForestOpts(nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -73,7 +73,7 @@ func TestSketchViewsWirePipeline(t *testing.T) {
 		b := NewKConnectivity(1004, st.N(), 2)
 		fresh := NewKConnectivity(1004, st.N(), 2)
 		shipMerge(t, KConnectivityView(a), KConnectivityView(b), KConnectivityView(fresh))
-		if _, err := a.CertificateGraph(); err != nil {
+		if _, err := a.CertificateGraphOpts(nil); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -83,7 +83,7 @@ func TestSketchViewsWirePipeline(t *testing.T) {
 		b := NewBipartiteness(1005, st.N())
 		fresh := NewBipartiteness(1005, st.N())
 		shipMerge(t, BipartitenessView(a), BipartitenessView(b), BipartitenessView(fresh))
-		if _, err := a.IsBipartite(); err != nil {
+		if _, err := a.IsBipartiteOpts(nil); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -93,7 +93,7 @@ func TestSketchViewsWirePipeline(t *testing.T) {
 		b := NewMSF(1006, st.N(), 8, 0.5)
 		fresh := NewMSF(1006, st.N(), 8, 0.5)
 		shipMerge(t, MSFView(a), MSFView(b), MSFView(fresh))
-		if _, err := a.Forest(); err != nil {
+		if _, err := a.ForestOpts(nil); err != nil {
 			t.Fatal(err)
 		}
 	})

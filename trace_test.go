@@ -37,72 +37,28 @@ func TestTracedBuildsBitIdentical(t *testing.T) {
 
 	cases := []struct {
 		name  string
-		build func(opts ...Option) (string, error)
+		build func(opts ...Option) (*Answer, error)
 	}{
-		{"spanner", func(opts ...Option) (string, error) {
-			res, err := Build(ctx, st, SpannerTarget{Config: SpannerConfig{K: 2, Seed: 4106}}, opts...)
-			if err != nil {
-				return "", err
-			}
-			return graphKey(res.Spanner), nil
+		{"spanner", func(opts ...Option) (*Answer, error) {
+			return BuildDecode(ctx, st, SpannerTarget{Config: SpannerConfig{K: 2, Seed: 4106}}, opts...)
 		}},
-		{"additive", func(opts ...Option) (string, error) {
-			res, err := Build(ctx, st, AdditiveTarget{Config: AdditiveConfig{D: 4, Seed: 4107}}, opts...)
-			if err != nil {
-				return "", err
-			}
-			return graphKey(res.Spanner), nil
+		{"additive", func(opts ...Option) (*Answer, error) {
+			return BuildDecode(ctx, st, AdditiveTarget{Config: AdditiveConfig{D: 4, Seed: 4107}}, opts...)
 		}},
-		{"sparsify", func(opts ...Option) (string, error) {
-			res, err := Build(ctx, st, SparsifierTarget{Config: SparsifierConfig{K: 2, Z: 8, Seed: 4108}}, opts...)
-			if err != nil {
-				return "", err
-			}
-			return fmt.Sprintf("%s|%d", graphKey(res.Sparsifier), res.Samples), nil
+		{"sparsify", func(opts ...Option) (*Answer, error) {
+			return BuildDecode(ctx, st, SparsifierTarget{Config: SparsifierConfig{K: 2, Z: 8, Seed: 4108}}, opts...)
 		}},
-		{"forest", func(opts ...Option) (string, error) {
-			sk, err := Build(ctx, st, ForestTarget{Seed: 4109}, opts...)
-			if err != nil {
-				return "", err
-			}
-			forest, err := sk.SpanningForestParallel(nil, 2)
-			if err != nil {
-				return "", err
-			}
-			return fmt.Sprintf("%v", forest), nil
+		{"forest", func(opts ...Option) (*Answer, error) {
+			return BuildDecode(ctx, st, ForestTarget{Seed: 4109}, opts...)
 		}},
-		{"kconn", func(opts ...Option) (string, error) {
-			kc, err := Build(ctx, st, KConnectivityTarget{Seed: 4110, K: 2}, opts...)
-			if err != nil {
-				return "", err
-			}
-			cert, err := kc.CertificateGraphParallel(2)
-			if err != nil {
-				return "", err
-			}
-			return graphKey(cert), nil
+		{"kconn", func(opts ...Option) (*Answer, error) {
+			return BuildDecode(ctx, st, KConnectivityTarget{Seed: 4110, K: 2}, opts...)
 		}},
-		{"bipartite", func(opts ...Option) (string, error) {
-			b, err := Build(ctx, st, BipartitenessTarget{Seed: 4111}, opts...)
-			if err != nil {
-				return "", err
-			}
-			bip, err := b.IsBipartiteParallel(2)
-			if err != nil {
-				return "", err
-			}
-			return fmt.Sprintf("%v", bip), nil
+		{"bipartite", func(opts ...Option) (*Answer, error) {
+			return BuildDecode(ctx, st, BipartitenessTarget{Seed: 4111}, opts...)
 		}},
-		{"msf", func(opts ...Option) (string, error) {
-			m, err := Build(ctx, wst, MSFTarget{Seed: 4112, WMax: 50, Gamma: 0.5}, opts...)
-			if err != nil {
-				return "", err
-			}
-			forest, err := m.ForestParallel(2)
-			if err != nil {
-				return "", err
-			}
-			return fmt.Sprintf("%v", forest), nil
+		{"msf", func(opts ...Option) (*Answer, error) {
+			return BuildDecode(ctx, wst, MSFTarget{Seed: 4112, WMax: 50, Gamma: 0.5}, opts...)
 		}},
 	}
 
@@ -118,8 +74,8 @@ func TestTracedBuildsBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if plain != traced {
-				t.Fatalf("traced build differs from untraced:\n--- untraced ---\n%s\n--- traced ---\n%s", plain, traced)
+			if p, q := AnswerKey(plain), AnswerKey(traced); p != q {
+				t.Fatalf("traced build differs from untraced:\n--- untraced ---\n%s\n--- traced ---\n%s", p, q)
 			}
 			phases := tr.Phases()
 			if len(phases) == 0 {
@@ -209,6 +165,43 @@ func TestBuildWritesChromeTrace(t *testing.T) {
 	for _, want := range []string{"ingest", "spanner/cluster/level00", "spanner/recover"} {
 		if !phases[want] {
 			t.Fatalf("trace file missing phase %q; has %v", want, phases)
+		}
+	}
+}
+
+// TestQuerySpanCoversDecode pins where a live query's decode is
+// traced: a forest handle's Borůvka rounds must end inside the query
+// span that Handle.Query opens, so the daemon's query phase histogram
+// times the decode rather than an empty critical section.
+func TestQuerySpanCoversDecode(t *testing.T) {
+	ctx := context.Background()
+	g := graph.ConnectedGNP(40, 0.15, 4501)
+	tr := NewTracer()
+	tr.EnableEvents(1 << 12)
+	h, err := Open(ctx, StreamFromGraph(g, 4502), ForestTarget{Seed: 4503}, WithWorkers(2), WithTracer(tr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.Query(ctx); err != nil {
+		t.Fatal(err)
+	}
+	var query *TraceEvent
+	var rounds []TraceEvent
+	for _, ev := range tr.Events() {
+		switch {
+		case ev.Phase == "query":
+			ev := ev
+			query = &ev
+		case strings.HasPrefix(ev.Phase, "agm/round"):
+			rounds = append(rounds, ev)
+		}
+	}
+	if query == nil || len(rounds) == 0 {
+		t.Fatalf("want a query span and agm/round spans, got query=%v, %d rounds", query, len(rounds))
+	}
+	for _, r := range rounds {
+		if r.Start < query.Start || r.Start+r.Dur > query.Start+query.Dur {
+			t.Fatalf("%s [%v, +%v] lies outside the query span [%v, +%v]", r.Phase, r.Start, r.Dur, query.Start, query.Dur)
 		}
 	}
 }
