@@ -41,10 +41,13 @@ type Answer struct {
 // the spanner and sparsifier targets only repackage their result. It
 // resolves its decode policy from the options Build takes — the decode
 // worker count (WithDecodeWorkers, else WithWorkers, else serial) and
-// the tracer (WithTracer, WithTraceFile) — so a caller that passes its
-// Build options again gets the decode phases (agm/roundNN spans) in the
-// same trace; with WithTraceFile the file is rewritten to include them.
-// The Answer is bit-identical at every decode worker count.
+// the tracer (WithTracer) — so a caller that passes its Build options
+// again gets the decode phases (agm/roundNN spans) in the same trace.
+// WithTraceFile rewrites the file only together with WithTracer: that
+// shared tracer still holds the Build's spans, so the file then holds
+// ingest and decode. Given WithTraceFile alone, Decode leaves the file
+// Build wrote untouched. The Answer is bit-identical at every decode
+// worker count.
 func Decode[R any](ctx context.Context, target Target[R], res R, opts ...Option) (*Answer, error) {
 	if target == nil {
 		return nil, fmt.Errorf("%w: nil target", ErrBadConfig)
@@ -52,6 +55,9 @@ func Decode[R any](ctx context.Context, target Target[R], res R, opts ...Option)
 	o, err := resolveOptions(opts)
 	if err != nil {
 		return nil, err
+	}
+	if o.tracer == nil {
+		o.traceFile = "" // a private tracer would hold the decode spans only
 	}
 	tr, traceDone := o.effectiveTracer()
 	defer traceDone()

@@ -11,6 +11,7 @@ import (
 
 	"dynstream"
 	"dynstream/internal/graph"
+	"dynstream/internal/parallel"
 )
 
 // Checkpoint/restore matrix: for every target, a handle that is
@@ -23,10 +24,10 @@ import (
 // restore → replay-suffix and diffs the restored handle's Answer
 // against the uninterrupted one's and a cold build's. detail, when
 // non-nil, keys result fields an Answer does not carry (read through
-// the QueryResult test hook on the handles).
+// the QueryResult test hook on the handles and decoded serially).
 func runCheckpointMatrix[R any](
 	t *testing.T, base *dynstream.MemoryStream, batches [][]dynstream.Update,
-	target dynstream.Target[R], detail func(R) string,
+	target dynstream.Target[R], detail func(R, *parallel.Policy) string,
 ) {
 	t.Helper()
 	ctx := context.Background()
@@ -82,7 +83,7 @@ func runCheckpointMatrix[R any](
 			if err != nil {
 				t.Fatal(err)
 			}
-			k += "\n" + detail(r.(R))
+			k += "\n" + detail(r.(R), nil)
 		}
 		return k
 	}
@@ -129,29 +130,22 @@ func runCheckpointMatrix[R any](
 
 func TestCheckpointRestoreForest(t *testing.T) {
 	base, batches := handleStream(t, 9100)
-	runCheckpointMatrix(t, base, batches, dynstream.ForestTarget{Seed: 9101}, nil)
+	runCheckpointMatrix(t, base, batches, dynstream.ForestTarget{Seed: 9101}, forestDetail)
 }
 
 func TestCheckpointRestoreKConnectivity(t *testing.T) {
 	base, batches := handleStream(t, 9200)
-	runCheckpointMatrix(t, base, batches, dynstream.KConnectivityTarget{Seed: 9201, K: 3},
-		func(kc *dynstream.KConnectivity) string {
-			cert, err := kc.CertificateOpts(nil)
-			if err != nil {
-				return err.Error()
-			}
-			return fmt.Sprint(cert)
-		})
+	runCheckpointMatrix(t, base, batches, dynstream.KConnectivityTarget{Seed: 9201, K: 3}, certDetail)
 }
 
 func TestCheckpointRestoreBipartiteness(t *testing.T) {
 	base, batches := handleStream(t, 9300)
-	runCheckpointMatrix(t, base, batches, dynstream.BipartitenessTarget{Seed: 9301}, nil)
+	runCheckpointMatrix(t, base, batches, dynstream.BipartitenessTarget{Seed: 9301}, bipartiteDetail)
 }
 
 func TestCheckpointRestoreMSF(t *testing.T) {
 	base, batches := handleStream(t, 9400)
-	runCheckpointMatrix(t, base, batches, dynstream.MSFTarget{Seed: 9401, WMax: 8, Gamma: 0.5}, nil)
+	runCheckpointMatrix(t, base, batches, dynstream.MSFTarget{Seed: 9401, WMax: 8, Gamma: 0.5}, msfDetail)
 }
 
 func TestCheckpointRestoreAdditive(t *testing.T) {
@@ -164,7 +158,7 @@ func TestCheckpointRestoreSpanner(t *testing.T) {
 	base, batches := handleStream(t, 9600)
 	runCheckpointMatrix(t, base, batches,
 		dynstream.SpannerTarget{Config: dynstream.SpannerConfig{K: 3, Seed: 9601, CollectAugmented: true}},
-		func(res *dynstream.SpannerResult) string {
+		func(res *dynstream.SpannerResult, _ *parallel.Policy) string {
 			return fmt.Sprintf("augmented %v terminals %d stats %+v", res.Augmented.Edges(), res.Terminals, res.Stats)
 		})
 }
@@ -372,11 +366,20 @@ func TestCheckpointConcurrentWithApply(t *testing.T) {
 		}
 		prefix := dynstream.NewMemoryStream(n)
 		appendAll(t, prefix, log[:off])
-		want, err := dynstream.BuildDecode(ctx, prefix, target)
+		res, err := dynstream.Build(ctx, prefix, target)
 		if err != nil {
 			t.Fatalf("snapshot %d: cold build: %v", i, err)
 		}
-		if dynstream.AnswerKey(got) != dynstream.AnswerKey(want) {
+		want, err := dynstream.Decode(ctx, target, res)
+		if err != nil {
+			t.Fatalf("snapshot %d: cold decode: %v", i, err)
+		}
+		raw, err := dynstream.QueryResult(ctx, h2)
+		if err != nil {
+			t.Fatalf("snapshot %d: query result: %v", i, err)
+		}
+		if dynstream.AnswerKey(got) != dynstream.AnswerKey(want) ||
+			forestDetail(raw.(*dynstream.ForestSketch), nil) != forestDetail(res, nil) {
 			t.Fatalf("snapshot %d (applied=%d): restored forest diverged from cold build", i, off)
 		}
 	}

@@ -472,7 +472,17 @@ func runTarget[R any](inv *invocation, target dynstream.Target[R]) error {
 		_, err := fmt.Fprintln(inv.stdout, a.Summary)
 		return err
 	}
-	fmt.Fprintf(inv.stderr, "%s, %d sketch words\n", a.Summary, a.SpaceWords)
+	// The one-shot summary also reports what a Build result holds beyond
+	// the Answer: the additive spanner's center count, the MSF's
+	// class-weight total.
+	line := a.Summary
+	switch r := any(res).(type) {
+	case *dynstream.AdditiveResult:
+		line += fmt.Sprintf(", %d centers", r.Centers)
+	case *dynstream.MSF:
+		line += fmt.Sprintf(", class-weight total %g", a.Graph.TotalWeight())
+	}
+	fmt.Fprintf(inv.stderr, "%s, %d sketch words\n", line, a.SpaceWords)
 	return writeEdges(inv.stdout, a.Graph)
 }
 

@@ -35,6 +35,24 @@ func runCLI(t *testing.T, args []string, in string) (string, string) {
 	return out.String(), errOut.String()
 }
 
+// TestCLISummaries pins the stderr summary lines that carry more than
+// the Answer: the additive spanner's center count and the MSF's
+// class-weight total.
+func TestCLISummaries(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"additive", "-d", "2", "-seed", "3"}, " centers, "},
+		{[]string{"msf", "-seed", "3"}, ", class-weight total "},
+	} {
+		_, errOut := runCLI(t, tc.args, testStream)
+		if !strings.Contains(errOut, tc.want) || !strings.Contains(errOut, " sketch words") {
+			t.Errorf("%v: stderr %q lacks %q", tc.args, errOut, tc.want)
+		}
+	}
+}
+
 func TestCLISpanner(t *testing.T) {
 	out, errOut := runCLI(t, []string{"spanner", "-k", "2", "-seed", "3"}, testStream)
 	if !strings.Contains(errOut, "spanner") {

@@ -9,6 +9,7 @@ import (
 
 	"dynstream"
 	"dynstream/internal/graph"
+	"dynstream/internal/parallel"
 )
 
 // Seeded Apply/Query interleaving matrix for live handles: after every
@@ -123,15 +124,16 @@ func runHandleMatrix[X any](
 // answerMatrix runs the interleaving matrix for one target over
 // Answers: every round's incremental Query must render exactly what
 // Decode of a cold Build over the cumulative stream renders. detail,
-// when non-nil, keys result fields an Answer does not carry; it reads
-// the live result through the QueryResult test hook and the cold one
-// straight from Build.
-func answerMatrix[R any](t *testing.T, seed uint64, w int, target dynstream.Target[R], detail func(R) string) {
+// when non-nil, keys result fields an Answer does not carry: on the
+// live side it reads the handle's result through the QueryResult test
+// hook and gets a w-worker policy, on the cold side it reads Build's
+// result and gets a nil (serial) policy.
+func answerMatrix[R any](t *testing.T, seed uint64, w int, target dynstream.Target[R], detail func(R, *parallel.Policy) string) {
 	ctx := context.Background()
-	key := func(a *dynstream.Answer, res R) string {
+	key := func(a *dynstream.Answer, res R, p *parallel.Policy) string {
 		k := dynstream.AnswerKey(a)
 		if detail != nil {
-			k += "\n" + detail(res)
+			k += "\n" + detail(res, p)
 		}
 		return k
 	}
@@ -154,7 +156,7 @@ func answerMatrix[R any](t *testing.T, seed uint64, w int, target dynstream.Targ
 					}
 					res = raw.(R)
 				}
-				return key(a, res), nil
+				return key(a, res, parallel.Default().WithWorkers(w)), nil
 			}
 			return h.Apply, query, h.Invalidate, nil
 		},
@@ -167,7 +169,7 @@ func answerMatrix[R any](t *testing.T, seed uint64, w int, target dynstream.Targ
 			if err != nil {
 				return "", err
 			}
-			return key(a, res), nil
+			return key(a, res, nil), nil
 		},
 		func(t *testing.T, round int, got, want string) {
 			t.Helper()
@@ -177,27 +179,45 @@ func answerMatrix[R any](t *testing.T, seed uint64, w int, target dynstream.Targ
 		})
 }
 
+// The sketch details decode the sketch again at p and keep the
+// decoder's own output — edge order included, which Answer.Graph
+// canonicalizes away — so the matrices pin each decode's exact output
+// at every worker count, as well as the rendered Answer.
+func forestDetail(sk *dynstream.ForestSketch, p *parallel.Policy) string {
+	return detailString(sk.SpanningForestOpts(nil, p))
+}
+
+func certDetail(kc *dynstream.KConnectivity, p *parallel.Policy) string {
+	return detailString(kc.CertificateOpts(p))
+}
+
+func bipartiteDetail(b *dynstream.Bipartiteness, p *parallel.Policy) string {
+	return detailString(b.IsBipartiteOpts(p))
+}
+
+func msfDetail(m *dynstream.MSF, p *parallel.Policy) string {
+	return detailString(m.ForestOpts(p))
+}
+
+func detailString[T any](v T, err error) string {
+	if err != nil {
+		return "decode error: " + err.Error()
+	}
+	return fmt.Sprint(v)
+}
+
 func TestHandleForestMatrix(t *testing.T) {
 	for _, w := range decodeWorkerCounts {
 		t.Run(fmt.Sprintf("decode%d", w), func(t *testing.T) {
-			answerMatrix(t, 8100, w, dynstream.ForestTarget{Seed: 8101}, nil)
+			answerMatrix(t, 8100, w, dynstream.ForestTarget{Seed: 8101}, forestDetail)
 		})
 	}
 }
 
 func TestHandleKConnectivityMatrix(t *testing.T) {
-	// The Answer holds the certificate's union graph; the detail pins
-	// the k forests themselves.
-	forests := func(kc *dynstream.KConnectivity) string {
-		cert, err := kc.CertificateOpts(nil)
-		if err != nil {
-			return err.Error()
-		}
-		return fmt.Sprint(cert)
-	}
 	for _, w := range decodeWorkerCounts {
 		t.Run(fmt.Sprintf("decode%d", w), func(t *testing.T) {
-			answerMatrix(t, 8200, w, dynstream.KConnectivityTarget{Seed: 8201, K: 3}, forests)
+			answerMatrix(t, 8200, w, dynstream.KConnectivityTarget{Seed: 8201, K: 3}, certDetail)
 		})
 	}
 }
@@ -205,7 +225,7 @@ func TestHandleKConnectivityMatrix(t *testing.T) {
 func TestHandleBipartitenessMatrix(t *testing.T) {
 	for _, w := range decodeWorkerCounts {
 		t.Run(fmt.Sprintf("decode%d", w), func(t *testing.T) {
-			answerMatrix(t, 8300, w, dynstream.BipartitenessTarget{Seed: 8301}, nil)
+			answerMatrix(t, 8300, w, dynstream.BipartitenessTarget{Seed: 8301}, bipartiteDetail)
 		})
 	}
 }
@@ -214,7 +234,7 @@ func TestHandleMSFMatrix(t *testing.T) {
 	// Live MSF needs an explicit WMax; handleStream weights are ≤ 6.
 	for _, w := range decodeWorkerCounts {
 		t.Run(fmt.Sprintf("decode%d", w), func(t *testing.T) {
-			answerMatrix(t, 8400, w, dynstream.MSFTarget{Seed: 8401, WMax: 8, Gamma: 0.5}, nil)
+			answerMatrix(t, 8400, w, dynstream.MSFTarget{Seed: 8401, WMax: 8, Gamma: 0.5}, msfDetail)
 		})
 	}
 }
@@ -225,7 +245,7 @@ func TestHandleSpannerMatrix(t *testing.T) {
 	}}
 	// The Answer holds the spanner; the detail pins the augmented set,
 	// the terminal count and the construction stats.
-	detail := func(res *dynstream.SpannerResult) string {
+	detail := func(res *dynstream.SpannerResult, _ *parallel.Policy) string {
 		return fmt.Sprintf("augmented %v terminals %d stats %+v", res.Augmented.Edges(), res.Terminals, res.Stats)
 	}
 	for _, w := range decodeWorkerCounts {

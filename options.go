@@ -138,7 +138,8 @@ func WithTracer(t *Tracer) Option {
 // finishes. It enables raw event recording on the build's tracer —
 // the WithTracer one, or a private tracer when none was given. A
 // failure to write the file is reported only if the build itself
-// succeeded.
+// succeeded. Decode rewrites the file only when a WithTracer tracer is
+// given too (see Decode).
 func WithTraceFile(path string) Option {
 	return func(o *buildOptions) { o.traceFile = path }
 }

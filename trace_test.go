@@ -169,6 +169,63 @@ func TestBuildWritesChromeTrace(t *testing.T) {
 	}
 }
 
+// traceFilePhases reads a Chrome trace file and returns its span names.
+func traceFilePhases(t *testing.T, path string) map[string]bool {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []map[string]any `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatalf("trace file is not valid JSON: %v", err)
+	}
+	phases := map[string]bool{}
+	for _, ev := range doc.TraceEvents {
+		if ph, _ := ev["ph"].(string); ph == "X" {
+			name, _ := ev["name"].(string)
+			phases[name] = true
+		}
+	}
+	return phases
+}
+
+// TestDecodeTraceFile pins which spans a trace file holds after Build
+// then Decode with the same options: with a shared WithTracer, Decode
+// rewrites the file with ingest and the Borůvka rounds; with
+// WithTraceFile alone, Decode leaves Build's file (ingest only) as it
+// is rather than replacing it with the decode spans alone.
+func TestDecodeTraceFile(t *testing.T) {
+	ctx := context.Background()
+	g := graph.ConnectedGNP(30, 0.2, 4401)
+	target := ForestTarget{Seed: 4402}
+	for _, shared := range []bool{true, false} {
+		t.Run(fmt.Sprintf("shared=%v", shared), func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "trace.json")
+			opts := []Option{WithTraceFile(path)}
+			if shared {
+				opts = append(opts, WithTracer(NewTracer()))
+			}
+			sk, err := Build(ctx, StreamWithChurn(g, 100, 4403), target, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := Decode(ctx, target, sk, opts...); err != nil {
+				t.Fatal(err)
+			}
+			phases := traceFilePhases(t, path)
+			if !phases["ingest"] {
+				t.Fatalf("trace file lost the build's ingest span; has %v", phases)
+			}
+			if got := phases["agm/round00"]; got != shared {
+				t.Fatalf("agm/round00 in trace file = %v, want %v; has %v", got, shared, phases)
+			}
+		})
+	}
+}
+
 // TestQuerySpanCoversDecode pins where a live query's decode is
 // traced: a forest handle's Borůvka rounds must end inside the query
 // span that Handle.Query opens, so the daemon's query phase histogram
