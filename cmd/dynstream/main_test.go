@@ -35,24 +35,6 @@ func runCLI(t *testing.T, args []string, in string) (string, string) {
 	return out.String(), errOut.String()
 }
 
-// TestCLISummaries pins the stderr summary lines that carry more than
-// the Answer: the additive spanner's center count and the MSF's
-// class-weight total.
-func TestCLISummaries(t *testing.T) {
-	for _, tc := range []struct {
-		args []string
-		want string
-	}{
-		{[]string{"additive", "-d", "2", "-seed", "3"}, " centers, "},
-		{[]string{"msf", "-seed", "3"}, ", class-weight total "},
-	} {
-		_, errOut := runCLI(t, tc.args, testStream)
-		if !strings.Contains(errOut, tc.want) || !strings.Contains(errOut, " sketch words") {
-			t.Errorf("%v: stderr %q lacks %q", tc.args, errOut, tc.want)
-		}
-	}
-}
-
 func TestCLISpanner(t *testing.T) {
 	out, errOut := runCLI(t, []string{"spanner", "-k", "2", "-seed", "3"}, testStream)
 	if !strings.Contains(errOut, "spanner") {
@@ -75,9 +57,12 @@ func TestCLIForest(t *testing.T) {
 }
 
 func TestCLIAdditive(t *testing.T) {
-	out, _ := runCLI(t, []string{"additive", "-d", "2", "-seed", "5"}, testStream)
+	out, errOut := runCLI(t, []string{"additive", "-d", "2", "-seed", "5"}, testStream)
 	if len(strings.TrimSpace(out)) == 0 {
 		t.Error("no output")
+	}
+	if !strings.Contains(errOut, " centers, ") {
+		t.Errorf("stderr missing center count: %q", errOut)
 	}
 }
 
@@ -162,7 +147,7 @@ func TestCLIMSF(t *testing.T) {
 	if strings.Contains(out, "0 4 ") {
 		t.Error("MSF used the heavy edge")
 	}
-	if !strings.Contains(errOut, "MSF") {
+	if !strings.Contains(errOut, "approximate MSF: 4 edges, class-weight total 6, ") {
 		t.Errorf("stderr: %q", errOut)
 	}
 }
